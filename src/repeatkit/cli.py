@@ -330,6 +330,23 @@ def _resolve_effect(args) -> EffectSize:
     return EffectSize.from_change(args.mu_delta, args.wsd)
 
 
+def _asymptotic_specificity_bound(env: ReportEnvelope, nu: int, psp: float,
+                                  conf: float) -> float | None:
+    """Asymptotic specificity floor, or None where it is undefined.
+
+    For small ``nu`` or high ``conf`` the normal approximation puts the
+    ratio quantile at or below 0.  Only that row is missing then: the
+    reason goes to the envelope's warnings and the rest of the report
+    stands.  Callers evaluate the exact floor first, so ``psp`` and
+    ``conf`` are already validated and no usage error is swallowed here.
+    """
+    try:
+        return specificity_lower_bound(nu, psp, conf, MethodChoice.ASYMPTOTIC)
+    except DomainError as e:
+        env.warnings.append(str(e))
+        return None
+
+
 def cmd_samplesize_sens(args) -> ReportEnvelope:
     eff = _resolve_effect(args)
     env = ReportEnvelope(
@@ -346,15 +363,16 @@ def cmd_samplesize_sens(args) -> ReportEnvelope:
         nu_at_asym = design_degrees_of_freedom(asym.n, args.m)
         induced_exact = specificity_lower_bound(nu_at_asym, args.psp, args.conf,
                                                 MethodChoice.EXACT)
-        induced_asym = specificity_lower_bound(nu_at_asym, args.psp, args.conf,
-                                               MethodChoice.ASYMPTOTIC)
     env.extend_warnings(caught)
+    induced_asym = _asymptotic_specificity_bound(env, nu_at_asym, args.psp, args.conf)
     env.add("sample_size_raw", asym.raw, "asymptotic", "subjects")
     env.add("sample_size", asym.n, "asymptotic", "subjects")
     env.add("sample_size", exact.n, "exact", "subjects")
     env.add("induced_bound_evaluated_at_n", asym.n, "exact", "subjects")
     env.add("induced_specificity_lower_bound", induced_exact, "exact", "probability")
-    env.add("induced_specificity_lower_bound", induced_asym, "asymptotic", "probability")
+    if induced_asym is not None:
+        env.add("induced_specificity_lower_bound", induced_asym, "asymptotic",
+                "probability")
     return env
 
 
@@ -390,9 +408,9 @@ def cmd_retro(args) -> ReportEnvelope:
     env.add("specificity_lower_bound",
             specificity_lower_bound(nu, args.psp, args.conf, MethodChoice.EXACT),
             "exact", "probability")
-    env.add("specificity_lower_bound",
-            specificity_lower_bound(nu, args.psp, args.conf, MethodChoice.ASYMPTOTIC),
-            "asymptotic", "probability")
+    asym_lb = _asymptotic_specificity_bound(env, nu, args.psp, args.conf)
+    if asym_lb is not None:
+        env.add("specificity_lower_bound", asym_lb, "asymptotic", "probability")
     for b in args.bound:
         q = SpecificityQuery(p_sp=args.psp, p_esp_lb=b, p_conf=args.conf, nu=nu)
         env.add(f"prob_effective_specificity_below[{b:g}]",

@@ -11,9 +11,9 @@ It also carries the sampling law of the normalized estimation error
 ``W = wsd_hat / w_SD``: with ``nu = sum_i (m_i - 1)`` pooled degrees of
 freedom, ``nu * W**2`` is chi-square distributed with ``nu`` degrees of
 freedom, and ``W`` is asymptotically normal with mean 1 and variance
-``1/(2 nu)``.  The density/support helpers for both forms live here because
-every downstream expectation and confidence statement integrates against
-them.
+``1/(2 nu)``.  Downstream expectations and confidence statements use closed
+forms of that law; the exact density of ``W`` lives here for plotting and
+as a reference to integrate against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .numerics import (
     check_degrees_of_freedom,
     check_probability,
     chisq_pdf,
-    chisq_quantile,
     normal_quantile,
 )
 
@@ -42,9 +41,6 @@ __all__ = [
     "symmetric_coverage_quantile",
     "design_degrees_of_freedom",
     "ratio_density_exact",
-    "ratio_density_normal",
-    "ratio_support_exact",
-    "ratio_support_normal",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -252,24 +248,3 @@ def ratio_density_exact(w: float, nu: int) -> float:
     if not math.isfinite(w) or w <= 0.0:
         raise DomainError(f"ratio w must be positive and finite, got {w!r}")
     return chisq_pdf(nu * w * w, nu) * 2.0 * w * nu
-
-
-def ratio_density_normal(w: float, nu: int) -> float:
-    """Large-``nu`` normal density of ``W``: mean 1, variance ``1/(2 nu)``."""
-    nu = check_degrees_of_freedom(nu)
-    return math.sqrt(nu / math.pi) * math.exp(-nu * (w - 1.0) ** 2)
-
-
-def ratio_support_exact(nu: int, tail_mass: float = 1e-14) -> tuple[float, float]:
-    """Interval of ``w`` leaving ``tail_mass`` probability in each chi tail."""
-    nu = check_degrees_of_freedom(nu)
-    lo = math.sqrt(chisq_quantile(tail_mass, nu) / nu)
-    hi = math.sqrt(chisq_quantile(1.0 - tail_mass, nu) / nu)
-    return lo, hi
-
-
-def ratio_support_normal(nu: int, half_width_sds: float = 10.0) -> tuple[float, float]:
-    """Interval ``1 +- half_width_sds / sqrt(2 nu)`` for the normal form."""
-    nu = check_degrees_of_freedom(nu)
-    half = half_width_sds / math.sqrt(2.0 * nu)
-    return 1.0 - half, 1.0 + half

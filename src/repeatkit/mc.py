@@ -12,8 +12,8 @@ Reproducibility contract: replicate ``r`` of a run draws from a Philox
 stream keyed ``[seed, r]``, so any single replicate can be regenerated in
 isolation and neither chunking nor thread count can change results.
 Uniforms map 64-bit raw output to the open interval via
-``((raw >> 11) + 0.5) * 2^-53`` and become normals through the package's
-own quantile function.
+``((raw >> 11) + 0.5) * 2^-53`` and become normals through
+``normal_quantile`` (``scipy.special.ndtri``).
 """
 
 from __future__ import annotations

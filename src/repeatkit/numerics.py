@@ -1,18 +1,15 @@
 """Numerical kernels: normal and chi-square distributions, quadrature, integer search.
 
 Everything downstream (repeatability coefficients, effective operating
-characteristics, sample sizes) reduces to four primitives implemented here:
-the standard normal CDF/quantile pair, the chi-square CDF/quantile pair, a
+characteristics, sample sizes) reduces to four primitives exposed here: the
+standard normal CDF/quantile pair, the chi-square CDF/quantile pair, a
 deterministic adaptive quadrature, and a monotone integer search.  The
-functions are scalar-first; ``normal_cdf`` and ``normal_quantile`` also accept
-numpy arrays because the simulation code transforms large uniform batches
-through them.
-
-Accuracy targets: the normal pair round-trips to 1e-12 or better, the
-chi-square CDF is computed from the regularized incomplete gamma function to
-near machine precision, and the chi-square quantile round-trips through the
-CDF to 1e-10.  All quantile refinement is done against the CDFs in this
-module, so the pairs are self-consistent by construction.
+distribution functions validate their arguments and delegate to
+``scipy.special`` (``erfc``, ``ndtri``, ``gammainc``, ``gammaincinv``,
+``gammaln``).  They are scalar-first; ``normal_cdf`` and ``normal_quantile``
+also accept numpy arrays because the simulation code transforms large
+uniform batches through them.  The quadrature is kept as a reference that
+tests integrate against.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc as _erfc_arr
+from scipy.special import erfc as _erfc_arr, gammainc, gammaincinv, gammaln, ndtri, xlogy
 
 from .errors import ConvergenceError, DomainError, InfeasibleError
 
@@ -42,7 +39,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG2 = math.log(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -122,91 +119,11 @@ def normal_pdf(x):
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-# Coefficients of the PPND16 rational approximations (Wichura, algorithm
-# AS 241): three regimes keyed on the distance of p from 1/2.  The raw
-# approximation is good to roughly double precision already; one Halley step
-# against normal_cdf below pins the round-trip error down regardless.
-_PPND_A = (3.3871328727963666080e0, 1.3314166789178437745e2,
-           1.9715909503065514427e3, 1.3731693765509461125e4,
-           4.5921953931549871457e4, 6.7265770927008700853e4,
-           3.3430575583588128105e4, 2.5090809287301226727e3)
-_PPND_B = (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-           5.3941960214247511077e3, 2.1213794301586595867e4,
-           3.9307895800092710610e4, 2.8729085735721942674e4,
-           5.2264952788528545610e3)
-_PPND_C = (1.42343711074968357734e0, 4.63033784615654529590e0,
-           5.76949722146069140550e0, 3.64784832476320460504e0,
-           1.27045825245236838258e0, 2.41780725177450611770e-1,
-           2.27238449892691845833e-2, 7.74545014278341407640e-4)
-_PPND_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-           6.89767334985100004550e-1, 1.48103976427480074590e-1,
-           1.51986665636164571966e-2, 5.47593808499534494600e-4,
-           1.05075007164441684324e-9)
-_PPND_E = (6.65790464350110377720e0, 5.46378491116411436990e0,
-           1.78482653991729133580e0, 2.96560571828504891230e-1,
-           2.65321895265761230930e-2, 1.24266094738807843860e-3,
-           2.71155556874348757815e-5, 2.01033439929228813265e-7)
-_PPND_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-           1.48753612908506148525e-2, 7.86869131145613259100e-4,
-           1.84631831751005468180e-5, 1.42151175831644588870e-7,
-           2.04426310338993978564e-15)
-
-
-def _poly(coeffs, r):
-    """Horner evaluation of sum(coeffs[k] * r**k); works on floats and arrays."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
-    return acc
-
-
-def _ppnd16_scalar(p: float) -> float:
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = math.sqrt(-math.log(min(p, 1.0 - p)))
-    if r <= 5.0:
-        r -= 1.6
-        x = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        x = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -x if q < 0 else x
-
-
-def _ppnd16_array(p: np.ndarray) -> np.ndarray:
-    q = p - 0.5
-    out = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    if central.any():
-        qc = q[central]
-        r = 0.180625 - qc * qc
-        out[central] = qc * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    tails = ~central
-    if tails.any():
-        pt = p[tails]
-        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-        xt = np.empty_like(pt)
-        far = r > 5.0
-        near = ~far
-        if near.any():
-            rn = r[near] - 1.6
-            xt[near] = _poly(_PPND_C, rn) / _poly(_PPND_D, rn)
-        if far.any():
-            rf = r[far] - 5.0
-            xt[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
-        out[tails] = np.where(pt < 0.5, -xt, xt)
-    return out
-
-
 def normal_quantile(p):
     """Standard normal quantile ``Φ⁻¹(p)`` for p strictly inside (0, 1).
 
-    A high-accuracy rational approximation supplies the initial value; a
-    single Halley step against :func:`normal_cdf` then enforces consistency
-    of the pair, so ``normal_cdf(normal_quantile(p))`` recovers ``p`` to
-    better than 1e-12 across the full open interval.
+    ``scipy.special.ndtri``; ``normal_cdf(normal_quantile(p))`` recovers
+    ``p`` to better than 1e-12 across the full open interval.
 
     Parameters
     ----------
@@ -220,112 +137,34 @@ def normal_quantile(p):
     if isinstance(p, np.ndarray):
         if not (np.isfinite(p).all() and (p > 0.0).all() and (p < 1.0).all()):
             raise DomainError("normal_quantile requires probabilities in (0, 1)")
-        x = _ppnd16_array(p)
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        safe = pdf > 0.0
-        t = np.where(safe, (0.5 * _erfc_arr(-x / _SQRT2) - p), 0.0)
-        t = np.divide(t, pdf, out=np.zeros_like(t), where=safe)
-        return x - t / (1.0 + 0.5 * t * x)
-    p = check_probability(p, "p")
-    x = _ppnd16_scalar(p)
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if pdf > 0.0:
-        t = (normal_cdf(x) - p) / pdf
-        x -= t / (1.0 + 0.5 * t * x)
-    return x
+        return ndtri(p)
+    return float(ndtri(check_probability(p, "p")))
 
 
 # ---------------------------------------------------------------------------
 # chi-square distribution
 # ---------------------------------------------------------------------------
 
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 100_000
-
-
-def _log_prefactor(a: float, x: float) -> float:
-    # log of x^a e^{-x} / Gamma(a); kept in log space so nu ~ 1e6 cannot
-    # overflow.  For large a the naive form loses ~a*1e-16 of absolute
-    # precision to cancellation between a*log(x) and lgamma(a), so the
-    # exponent is rebuilt around x = a with log1p and an explicit Stirling
-    # tail, keeping the relative error of the exponential near 1e-12 even
-    # at a ~ 5e5.
-    if a < 30.0:
-        return a * math.log(x) - x - math.lgamma(a)
-    eps = (x - a) / a
-    if eps <= -1.0:
-        # x / a underflowed against 1; the prefactor is a hard zero.
-        return -math.inf
-    stirling_tail = (1.0 / (12.0 * a) - 1.0 / (360.0 * a**3)
-                     + 1.0 / (1260.0 * a**5) - 1.0 / (1680.0 * a**7))
-    return (a * (math.log1p(eps) - eps)
-            + 0.5 * math.log(a / (2.0 * math.pi)) - stirling_tail)
-
-
-def _reg_gamma_lower_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series; x < a + 1."""
-    term = 1.0 / a
-    total = term
-    k = 0
-    while abs(term) > abs(total) * _GAMMA_EPS:
-        k += 1
-        if k > _GAMMA_MAX_ITER:
-            raise ConvergenceError(
-                f"incomplete gamma series stalled at a={a}, x={x}",
-                estimate=total * math.exp(_log_prefactor(a, x)),
-            )
-        term *= x / (a + k)
-        total += term
-    return total * math.exp(_log_prefactor(a, x))
-
-
-def _reg_gamma_upper_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction; x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h * math.exp(_log_prefactor(a, x))
-    raise ConvergenceError(
-        f"incomplete gamma continued fraction stalled at a={a}, x={x}",
-        estimate=h * math.exp(_log_prefactor(a, x)),
-    )
-
-
 def chisq_log_pdf(x: float, nu: int) -> float:
     """Log of the chi-square density with ``nu`` degrees of freedom, ``x > 0``.
 
-    Built on the same cancellation-free exponent as the incomplete gamma
-    routines, so it keeps ~1e-12 relative accuracy in the density even at
-    ``nu ~ 1e6`` where the naive ``(nu/2 - 1) * log(x)`` form loses digits.
+    Stays finite where :func:`chisq_pdf` underflows, e.g. far in the tails
+    at ``nu ~ 1e6``.
     """
     nu = check_degrees_of_freedom(nu)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"chisq_log_pdf requires finite x > 0, got {x!r}")
-    return _log_prefactor(0.5 * nu, 0.5 * x) - math.log(x)
+    a = 0.5 * nu
+    return float(xlogy(a - 1.0, x) - 0.5 * x - a * _LOG2 - gammaln(a))
 
 
 def chisq_pdf(x: float, nu: int) -> float:
     """Chi-square density with ``nu`` degrees of freedom at ``x >= 0``.
 
-    Evaluated in log space, so it stays finite and accurate for ``nu`` up to
-    at least 1e6.  At ``x = 0`` the density is 0.5 for ``nu = 2``, diverges
-    for ``nu = 1``, and vanishes for ``nu > 2``.
+    Evaluated in log space, so it stays finite for ``nu`` up to at least
+    1e6.  At ``x = 0`` the density is 0.5 for ``nu = 2``, diverges for
+    ``nu = 1``, and vanishes for ``nu > 2``.
     """
     nu = check_degrees_of_freedom(nu)
     x = float(x)
@@ -341,74 +180,24 @@ def chisq_pdf(x: float, nu: int) -> float:
 def chisq_cdf(x: float, nu: int) -> float:
     """Chi-square CDF ``P[X <= x]`` with ``nu`` degrees of freedom.
 
-    Computed as the regularized lower incomplete gamma function P(nu/2, x/2):
-    power series below the ``x/2 < nu/2 + 1`` crossover, Lentz continued
-    fraction above it, both iterated to relative machine tolerance.
+    The regularized lower incomplete gamma function ``P(nu/2, x/2)``
+    (``scipy.special.gammainc``).
     """
     nu = check_degrees_of_freedom(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"chisq_cdf requires finite x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    a = 0.5 * nu
-    t = 0.5 * x
-    if t < a + 1.0:
-        p = _reg_gamma_lower_series(a, t)
-    else:
-        p = 1.0 - _reg_gamma_upper_cf(a, t)
-    return min(max(p, 0.0), 1.0)
+    return float(gammainc(0.5 * nu, 0.5 * x))
 
 
 def chisq_quantile(p: float, nu: int) -> float:
     """Chi-square quantile: the ``x`` with ``chisq_cdf(x, nu) = p``.
 
-    Wilson-Hilferty supplies the starting point; a bracketed Newton iteration
-    against :func:`chisq_cdf` / :func:`chisq_pdf` finishes the job, falling
-    back to bisection whenever a Newton step leaves the bracket.
+    ``2 * gammaincinv(nu/2, p)``, the inverse of :func:`chisq_cdf`.
     """
     nu = check_degrees_of_freedom(nu)
     p = check_probability(p, "p")
-    a = 0.5 * nu
-
-    # Wilson-Hilferty cube approximation; for extreme lower tails the cube
-    # can collapse to <= 0, where the small-x expansion of the CDF is the
-    # better seed.
-    z = normal_quantile(p)
-    h = 2.0 / (9.0 * nu)
-    wh = nu * (1.0 - h + z * math.sqrt(h)) ** 3
-    if not math.isfinite(wh) or wh <= 0.0:
-        wh = 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
-
-    lo = 0.0
-    hi = max(wh * 2.0, nu + 10.0 * math.sqrt(2.0 * nu) + 10.0)
-    for _ in range(200):
-        if chisq_cdf(hi, nu) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"chisq_quantile failed to bracket p={p}, nu={nu}")
-
-    x = min(max(wh, hi * 1e-6), hi)
-    for _ in range(200):
-        err = chisq_cdf(x, nu) - p
-        if err >= 0.0:
-            hi = x
-        else:
-            lo = x
-        # absolute criterion scaled to the nearer tail keeps relative accuracy
-        # for extreme p; the bracket-width and fixed-point stops terminate the
-        # cases where the CDF cannot resolve the residual in double precision
-        if abs(err) <= 1e-13 * min(p, 1.0 - p) or (hi - lo) <= 1e-15 * hi:
-            break
-        f = chisq_pdf(x, nu)
-        nxt = x - err / f if f > 0.0 else math.nan
-        if not math.isfinite(nxt) or nxt <= lo or nxt >= hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    return 2.0 * float(gammaincinv(0.5 * nu, p))
 
 
 # ---------------------------------------------------------------------------

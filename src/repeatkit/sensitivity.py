@@ -24,22 +24,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import nctdtr
 
 from .errors import DomainError, InfeasibleError
-from .core import (
-    ratio_density_exact,
-    ratio_density_normal,
-    ratio_support_exact,
-    ratio_support_normal,
-    symmetric_coverage_quantile,
-)
+from .core import symmetric_coverage_quantile
 from .numerics import (
-    QuadratureSpec,
     check_degrees_of_freedom,
     check_probability,
     chisq_cdf,
     chisq_quantile,
-    integrate,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
@@ -59,7 +52,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_DEFAULT_QUADRATURE = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 
 class SensitivityApproximation(enum.Enum):
@@ -213,28 +205,30 @@ def effective_sensitivity_given_ratio(
 
 
 def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
-                                   method: MethodChoice = MethodChoice.EXACT,
-                                   quadrature: QuadratureSpec | None = None) -> float:
+                                   method: MethodChoice = MethodChoice.EXACT) -> float:
     """Mean of the (full two-sided) effective sensitivity.
 
-    Integrates both detection terms against the density of ``W``
-    (chi-square form or normal kernel per ``method``); the difference from
-    :func:`sensitivity` is the power bias of the plug-in rule.
+    ``1 - E[Phi(z W - d)] + E[Phi(-z W - d)]`` with ``d = delta / sqrt(2)``
+    and both expectations in closed form.  Exactly, ``E[Phi(t W - d)]`` is
+    the noncentral t CDF ``F_nct(t; nu, d)`` (``scipy.special.nctdtr``),
+    since ``Phi(t W - d) = P[(Z + d) / W <= t]``.  Asymptotically, the
+    Gaussian identity of :func:`expected_effective_specificity` gives
+    ``Phi((t - d) / s)`` with ``s = sqrt(1 + z^2 / (2 nu))``.  The
+    difference from :func:`sensitivity` is the power bias of the plug-in
+    rule.
     """
     nu = check_degrees_of_freedom(nu)
     method = _as_method(method)
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
-    spec = quadrature if quadrature is not None else _DEFAULT_QUADRATURE
     if method is MethodChoice.EXACT:
-        lo, hi = ratio_support_exact(nu)
-        density = ratio_density_exact
+        near = float(nctdtr(nu, d, z))
+        far = float(nctdtr(nu, d, -z))
     else:
-        lo, hi = ratio_support_normal(nu)
-        density = ratio_density_normal
-    near = integrate(lambda w: normal_cdf(z * w - d) * density(w, nu), lo, hi, spec)
-    far = integrate(lambda w: normal_cdf(-z * w - d) * density(w, nu), lo, hi, spec)
+        s = math.sqrt(1.0 + z * z / (2.0 * nu))
+        near = normal_cdf((z - d) / s)
+        far = normal_cdf((-z - d) / s)
     return 1.0 - near + far
 
 

@@ -9,9 +9,9 @@ plug-in rule), confidence statements ``P[P_esp >= bound]``, worst-case lower
 bounds at a given confidence, and the minimal number of subjects needed to
 keep the effective specificity above a floor with prescribed confidence.
 
-Every distributional quantity comes in two forms: ``Exact`` integrates the
-chi-square law of ``W`` and holds at any ``nu``; ``Asymptotic`` replaces
-``W`` by its large-``nu`` normal limit and yields closed forms.
+Every distributional quantity comes in two forms, both closed: ``Exact``
+uses the chi-square law of ``nu * W**2`` and holds at any ``nu``;
+``Asymptotic`` replaces ``W`` by its large-``nu`` normal limit.
 """
 
 from __future__ import annotations
@@ -22,24 +22,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtr
 
 from .errors import DomainError, InfeasibleError
-from .core import (
-    design_degrees_of_freedom,
-    ratio_density_exact,
-    ratio_density_normal,
-    ratio_support_exact,
-    ratio_support_normal,
-    symmetric_coverage_quantile,
-)
+from .core import design_degrees_of_freedom, symmetric_coverage_quantile
 from .numerics import (
-    QuadratureSpec,
     check_degrees_of_freedom,
     check_probability,
     chisq_cdf,
     chisq_log_pdf,
     chisq_quantile,
-    integrate,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
@@ -59,11 +51,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Expectation quadrature runs tighter than the coarsest downstream tolerance
-# so comparisons against published 4-decimal values are limited by their
-# rounding, not by integration error.
-_DEFAULT_QUADRATURE = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
 
 
 class MethodChoice(enum.Enum):
@@ -184,33 +171,25 @@ def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
 
 
 def expected_effective_specificity(nu: int, p_sp: float = 0.95,
-                                   method: MethodChoice = MethodChoice.EXACT,
-                                   quadrature: QuadratureSpec | None = None) -> float:
+                                   method: MethodChoice = MethodChoice.EXACT) -> float:
     """Mean of the effective specificity; below ``p_sp`` for every finite ``nu``.
 
-    Integrates ``Phi(z w)`` against the density of ``W`` (chi-square form or
-    normal kernel per ``method``) and assembles ``1 - 2 (1 - I)``.  The
-    shortfall ``result - p_sp`` is the bias introduced by estimating the
-    within-subject SD.
+    ``2 E[Phi(z W)] - 1`` with the expectation in closed form.  Exactly,
+    ``W = sqrt(chi2_nu / nu)`` is independent of a standard normal ``Z``
+    and ``E[Phi(z W)] = P[Z / W <= z]`` is Student's t CDF ``T_nu(z)``
+    (``scipy.special.stdtr``).  Asymptotically, ``W = 1 + Z' / sqrt(2 nu)`` and the
+    Gaussian identity ``E[Phi(a + b Z')] = Phi(a / sqrt(1 + b^2))`` gives
+    ``Phi(z / sqrt(1 + z^2 / (2 nu)))``.  The shortfall ``result - p_sp``
+    is the bias introduced by estimating the within-subject SD.
     """
     nu = check_degrees_of_freedom(nu)
     method = _as_method(method)
     z = symmetric_coverage_quantile(p_sp)
-    spec = quadrature if quadrature is not None else _DEFAULT_QUADRATURE
     if method is MethodChoice.EXACT:
-        lo, hi = ratio_support_exact(nu)
-
-        def integrand(w):
-            return normal_cdf(z * w) * ratio_density_exact(w, nu)
+        mean_phi = float(stdtr(nu, z))
     else:
-        # The normal kernel's support crosses w = 0 for nu < 50; the formula
-        # extends across it, matching the limit law's full real line.
-        lo, hi = ratio_support_normal(nu)
-
-        def integrand(w):
-            return normal_cdf(z * w) * ratio_density_normal(w, nu)
-    mean_phi = integrate(integrand, lo, hi, spec)
-    return 1.0 - 2.0 * (1.0 - mean_phi)
+        mean_phi = normal_cdf(z / math.sqrt(1.0 + z * z / (2.0 * nu)))
+    return 2.0 * mean_phi - 1.0
 
 
 def specificity_confidence(query: SpecificityQuery,

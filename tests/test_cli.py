@@ -7,11 +7,13 @@ couple of subprocess cases prove the installed entry points work too.
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
 from repeatkit import __version__
 from repeatkit.cli import (
@@ -164,6 +166,21 @@ class TestSampleSizeSens:
                            "--ese-lb", "0.9")
         assert code == EXIT_INFEASIBLE
 
+    def test_undefined_asymptotic_induced_bound_is_a_warning(self, capsys):
+        # the asymptotic n is 2, where the normal approximation puts the
+        # 0.01 ratio quantile below 0: that one row is left out
+        payload = run_json(capsys, "samplesize-sens", "--delta", "6",
+                           "--ese-lb", "0.5", "--psp", "0.9", "--conf", "0.99")
+        assert one(payload, "sample_size", "asymptotic") == 2
+        assert one(payload, "sample_size", "exact") == 1
+        w = math.sqrt(stats.chi2.ppf(0.01, 2) / 2)
+        z = stats.norm.ppf(0.95)
+        assert one(payload, "induced_specificity_lower_bound", "exact") == \
+            pytest.approx(stats.norm.cdf(z * w) - stats.norm.cdf(-z * w), rel=1e-9)
+        assert values(payload, "induced_specificity_lower_bound", "asymptotic") == []
+        assert len(payload["warnings"]) == 1
+        assert "use the exact method" in payload["warnings"][0]
+
 
 class TestRetro:
     def test_reference_assessment(self, capsys):
@@ -191,6 +208,25 @@ class TestRetro:
         assert by_nu["results"] == by_nm["results"]
         assert one(by_nu, "specificity_lower_bound", "exact") == \
             pytest.approx(0.8511646853, abs=1e-9)
+
+    @pytest.mark.parametrize("nu,conf", [(1, 0.95), (2, 0.9999999)])
+    def test_undefined_asymptotic_bound_is_a_warning(self, capsys, nu, conf):
+        # the normal approximation puts the ratio quantile at or below 0;
+        # every other row of this valid design is still reported
+        payload = run_json(capsys, "retro", "--nu", str(nu), "--conf", str(conf),
+                           "--bound", "0.9", "--delta", "4")
+        z = stats.norm.ppf(0.975)
+        w = math.sqrt(stats.chi2.ppf(1 - conf, nu) / nu)
+        assert one(payload, "specificity_lower_bound", "exact") == pytest.approx(
+            stats.norm.cdf(z * w) - stats.norm.cdf(-z * w), rel=1e-9)
+        assert one(payload, "expected_effective_specificity", "exact") == \
+            pytest.approx(2 * stats.t.cdf(z, nu) - 1, rel=1e-9)
+        assert values(payload, "specificity_lower_bound", "asymptotic") == []
+        assert len(values(payload, "expected_effective_specificity", "asymptotic")) == 1
+        assert len(values(payload, "prob_effective_specificity_below[0.9]")) == 2
+        assert len(values(payload, "expected_effective_sensitivity[delta=4]")) == 1
+        assert len(payload["warnings"]) == 1
+        assert "use the exact method" in payload["warnings"][0]
 
     @pytest.mark.parametrize("argv", [
         ("retro",),

@@ -7,7 +7,7 @@ cross-checked before pinning.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
 from repeatkit.errors import DomainError, InfeasibleError
@@ -130,6 +130,12 @@ class TestExpectedEffectiveSensitivity:
         assert expected_effective_sensitivity(
             10**6, 4.0, 0.95, MethodChoice.EXACT) == pytest.approx(
                 0.8074303253188532, abs=5e-12)
+
+    def test_mpmath_reference(self):
+        # mpmath 40 dps quadrature of both detection terms against the chi
+        # law of W; agrees with the noncentral t form to every digit shown
+        got = expected_effective_sensitivity(60, 5.0, 0.97, MethodChoice.EXACT)
+        assert got == pytest.approx(0.9112159088374177, abs=1e-12)
 
     def test_against_scipy_quad(self):
         nu, delta = 139, 4.0
@@ -254,16 +260,20 @@ class TestSensitivityLowerBound:
     @given(st.integers(min_value=2, max_value=50000),
            st.floats(min_value=2.0, max_value=8.0),
            st.floats(min_value=0.1, max_value=0.99))
+    @example(nu=607, delta=2.0, conf=0.5)
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_property(self, nu, delta, conf):
         lb = sensitivity_lower_bound(nu, delta, 0.95, conf, MethodChoice.EXACT)
-        # at conf <= 0.5 the ratio quantile drops below 1 and the floor can
-        # exceed the perfect-estimate sensitivity, where the confidence
-        # question is rejected as unattainable; invert only feasible floors
-        if not 0.0 < lb < sensitivity(delta, 0.95):
-            return
         q = SensitivityQuery(p_sp=0.95, delta=delta, p_ese_lb=lb, p_conf=conf,
                              nu=nu, approximation=ONE_SIDED)
+        # at conf <= 0.5 the ratio quantile can drop below 1, putting the
+        # floor at or above the one-sided perfect-estimate sensitivity
+        # 1 - Phi(z - d); the confidence question must then be rejected
+        attainable = effective_sensitivity_given_ratio(1.0, delta, 0.95, ONE_SIDED)
+        if lb >= attainable:
+            with pytest.raises(InfeasibleError):
+                sensitivity_confidence(q, MethodChoice.EXACT)
+            return
         assert sensitivity_confidence(q, MethodChoice.EXACT) == pytest.approx(
             conf, abs=1e-9)
 
