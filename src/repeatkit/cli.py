@@ -61,12 +61,7 @@ from .sensitivity import (
     sensitivity,
     sensitivity_lower_bound,
 )
-from .mc import (
-    SimulationConfig,
-    simulate_effective_sensitivity,
-    simulate_effective_specificity,
-    simulate_longitudinal_decisions,
-)
+from .mc import EmpiricalDistribution, SimulationConfig, simulate_study
 
 __all__ = ["main", "build_parser", "MeasurementRecord", "ReportEnvelope"]
 
@@ -735,7 +730,9 @@ def cmd_simulate(args) -> ReportEnvelope:
         method=("exact", "monte-carlo"))
     nu = cfg.nu
 
-    spec_dist = simulate_effective_specificity(cfg)
+    study = simulate_study(cfg)
+    spec_dist = EmpiricalDistribution.from_samples(
+        effective_specificity_given_ratio(study.ratios, cfg.p_sp))
     _add_distribution(env, "effective_specificity", spec_dist)
     _add_agreement(env, "expected_effective_specificity",
                    expected_effective_specificity(nu, cfg.p_sp, MethodChoice.EXACT),
@@ -747,7 +744,8 @@ def cmd_simulate(args) -> ReportEnvelope:
                    spec_dist.quantile_standard_error(q_lb))
 
     if args.delta is not None:
-        sens_dist = simulate_effective_sensitivity(cfg)
+        sens_dist = EmpiricalDistribution.from_samples(effective_sensitivity_given_ratio(
+            study.ratios, cfg.delta, cfg.p_sp, SensitivityApproximation.FULL_TWO_SIDED))
         _add_distribution(env, "effective_sensitivity", sens_dist)
         _add_agreement(env, "expected_effective_sensitivity",
                        expected_effective_sensitivity(nu, cfg.delta, cfg.p_sp,
@@ -761,7 +759,8 @@ def cmd_simulate(args) -> ReportEnvelope:
                        sens_dist.quantile_standard_error(q_lb))
 
     if args.longitudinal:
-        emp_spec, emp_sens = simulate_longitudinal_decisions(cfg)
+        emp_spec = study.longitudinal_specificity
+        emp_sens = study.longitudinal_sensitivity
         se_spec = math.sqrt(max(emp_spec * (1.0 - emp_spec), 1e-12) / cfg.replicates)
         _add_agreement(env, "longitudinal_specificity",
                        expected_effective_specificity(nu, cfg.p_sp, MethodChoice.EXACT),

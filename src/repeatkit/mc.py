@@ -2,15 +2,20 @@
 
 Every analytic statement in this package reduces to the law of the
 estimation-error ratio ``W = wsd_hat / w_SD``.  This module checks those
-statements the expensive way: it simulates whole test-retest studies
-(``n`` subjects x ``m`` replicates of ``N(mu_i, w_sd^2)`` measurements),
-re-estimates the within-subject SD per study, and either maps the realized
-ratio through the closed-form operating characteristics or carries on and
-simulates the longitudinal decision itself.
+statements the expensive way.  :func:`simulate_study` makes one pass over a
+design: each replicate simulates a whole test-retest study (``n`` subjects
+x ``m`` replicates of ``N(mu_i, w_sd^2)`` measurements), re-estimates the
+within-subject SD, and then classifies one unchanged and one changed
+measurement pair against its own estimated threshold.  The effective
+specificity and sensitivity of each study are monotone maps of its ratio,
+so callers get their distributions by passing the stored ratios through
+``effective_*_given_ratio`` and :meth:`EmpiricalDistribution.from_samples`.
 
-Reproducibility contract: replicate ``r`` of a run draws from a Philox
-stream keyed ``[seed, r]``, so any single replicate can be regenerated in
-isolation and neither chunking nor thread count can change results.
+Reproducibility contract: replicate ``r`` of a run draws ``n*m + 4``
+normals from a Philox stream keyed ``[seed, r]`` (the first ``n*m`` are
+the study's measurement noise, the last 4 its decision pair), so any single
+replicate can be regenerated in isolation and neither chunking nor thread
+count can change results.
 Uniforms map 64-bit raw output to the open interval via
 ``((raw >> 11) + 0.5) * 2^-53`` and become normals through
 ``normal_quantile`` (``scipy.special.ndtri``).
@@ -29,17 +34,13 @@ import numpy as np
 from .errors import DomainError
 from .core import symmetric_coverage_quantile
 from .numerics import check_probability, normal_quantile
-from .sensitivity import SensitivityApproximation, effective_sensitivity_given_ratio
-from .specificity import effective_specificity_given_ratio
 
 __all__ = [
     "SimulationConfig",
     "EmpiricalDistribution",
+    "StudySimulation",
     "QUANTILE_PROBES",
-    "simulate_wsd_ratios",
-    "simulate_effective_specificity",
-    "simulate_effective_sensitivity",
-    "simulate_longitudinal_decisions",
+    "simulate_study",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -49,6 +50,7 @@ QUANTILE_PROBES = (0.01, 0.05, 0.25, 0.50, 0.75, 0.95, 0.99)
 # Work-unit size in replicates; a fixed constant (shrunk only by the
 # per-replicate draw count to bound buffer memory) so the chunk layout, and
 # therefore every floating-point reduction, is independent of threading.
+# A design whose single replicate exceeds the draw budget is rejected.
 _CHUNK_REPLICATES = 4096
 _CHUNK_BUDGET_DRAWS = 8_000_000
 
@@ -104,6 +106,9 @@ class SimulationConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if self.n * self.m + 4 > _CHUNK_BUDGET_DRAWS:
+            raise DomainError(f"n*m + 4 = {self.n * self.m + 4} draws per replicate exceed "
+                              f"the buffer budget of {_CHUNK_BUDGET_DRAWS}")
 
     @property
     def nu(self) -> int:
@@ -161,12 +166,6 @@ class EmpiricalDistribution:
         return math.sqrt(q * (1.0 - q) / r) * float(slope)
 
 
-def _chunk_layout(cfg: SimulationConfig, draws_per_replicate: int) -> list[tuple[int, int]]:
-    size = max(1, min(_CHUNK_REPLICATES, _CHUNK_BUDGET_DRAWS // draws_per_replicate))
-    return [(start, min(size, cfg.replicates - start))
-            for start in range(0, cfg.replicates, size)]
-
-
 def _run_chunks(worker, chunks):
     threads = _thread_count()
     if threads == 1 or len(chunks) == 1:
@@ -187,78 +186,58 @@ def _chunk_normals(cfg: SimulationConfig, start: int, count: int,
     return normal_quantile(out)
 
 
-def _chunk_ratios(cfg: SimulationConfig, eps: np.ndarray) -> np.ndarray:
-    """Estimation-error ratios from per-replicate noise draws of shape (count, n*m)."""
-    meas = cfg.w_sd * eps.reshape(eps.shape[0], cfg.n, cfg.m)
-    centered = meas - meas.mean(axis=2, keepdims=True)
-    pooled_ss = np.einsum("rij,rij->r", centered, centered)
-    wsd_hat = np.sqrt(pooled_ss / cfg.nu)
-    return wsd_hat / cfg.w_sd
+@dataclass(frozen=True)
+class StudySimulation:
+    """Result of :func:`simulate_study`.
+
+    ``ratios`` holds each study's ``wsd_hat / w_SD`` (read-only);
+    ``longitudinal_specificity`` is the fraction of unchanged pairs kept and
+    ``longitudinal_sensitivity`` the fraction of changed pairs flagged.
+    """
+
+    ratios: np.ndarray
+    longitudinal_specificity: float
+    longitudinal_sensitivity: float
 
 
-def simulate_wsd_ratios(cfg: SimulationConfig) -> np.ndarray:
-    """Draws of ``wsd_hat / w_SD``, one per simulated study.
+def simulate_study(cfg: SimulationConfig) -> StudySimulation:
+    """Simulate ``cfg.replicates`` studies of the design in one pass.
 
     Each replicate builds a full ``n x m`` measurement table, pools the
     within-subject sums of squares, and normalizes the resulting SD
-    estimate by the true ``w_sd``.  Deterministic given ``cfg``.
-    """
-    draws = cfg.n * cfg.m
-    chunks = _chunk_layout(cfg, draws)
-
-    def worker(start, count):
-        return _chunk_ratios(cfg, _chunk_normals(cfg, start, count, draws))
-
-    return np.concatenate(_run_chunks(worker, chunks))
-
-
-def simulate_effective_specificity(cfg: SimulationConfig) -> EmpiricalDistribution:
-    """Empirical distribution of the effective specificity across studies.
-
-    Per study the realized ratio is mapped through the closed form; no
-    inner longitudinal simulation is needed (that path is exercised by
-    :func:`simulate_longitudinal_decisions`).
-    """
-    ratios = simulate_wsd_ratios(cfg)
-    return EmpiricalDistribution.from_samples(
-        effective_specificity_given_ratio(ratios, cfg.p_sp))
-
-
-def simulate_effective_sensitivity(cfg: SimulationConfig) -> EmpiricalDistribution:
-    """Empirical distribution of the full two-sided effective sensitivity."""
-    ratios = simulate_wsd_ratios(cfg)
-    return EmpiricalDistribution.from_samples(
-        effective_sensitivity_given_ratio(
-            ratios, cfg.delta, cfg.p_sp, SensitivityApproximation.FULL_TWO_SIDED))
-
-
-def simulate_longitudinal_decisions(cfg: SimulationConfig) -> tuple[float, float]:
-    """End-to-end decision simulation: (empirical specificity, empirical sensitivity).
-
-    The only operation with no closed forms anywhere: each study estimates
-    its threshold, then one unchanged and one changed (by ``delta * w_sd``)
-    measurement pair are drawn and classified by the strict-exceedance rule
-    (the same comparison as ``decide_change``).  Fractions are aggregated
-    across all studies.
+    estimate by the true ``w_sd``.  It then draws one unchanged and one
+    changed (by ``delta * w_sd``) measurement pair and classifies both by
+    the strict-exceedance rule against its estimated threshold (the same
+    comparison as ``decide_change``), the only step with no closed form
+    anywhere.  Deterministic given ``cfg``.
     """
     z = symmetric_coverage_quantile(cfg.p_sp)
-    draws = cfg.n * cfg.m + 4
-    chunks = _chunk_layout(cfg, draws)
+    table = cfg.n * cfg.m
+    draws = table + 4
+    size = min(_CHUNK_REPLICATES, _CHUNK_BUDGET_DRAWS // draws)
+    chunks = [(start, min(size, cfg.replicates - start))
+              for start in range(0, cfg.replicates, size)]
 
     def worker(start, count):
         normals = _chunk_normals(cfg, start, count, draws)
-        ratios = _chunk_ratios(cfg, normals[:, :cfg.n * cfg.m])
+        meas = cfg.w_sd * normals[:, :table].reshape(count, cfg.n, cfg.m)
+        centered = meas - meas.mean(axis=2, keepdims=True)
+        pooled_ss = np.einsum("rij,rij->r", centered, centered)
+        ratios = np.sqrt(pooled_ss / cfg.nu) / cfg.w_sd
         rc_hat = z * _SQRT2 * (ratios * cfg.w_sd)
-        pair = normals[:, cfg.n * cfg.m:]
+        pair = normals[:, table:]
         y_pre0 = cfg.w_sd * pair[:, 0]
         y_post0 = cfg.w_sd * pair[:, 1]
         y_pre1 = cfg.w_sd * pair[:, 2]
         y_post1 = cfg.delta * cfg.w_sd + cfg.w_sd * pair[:, 3]
-        unchanged_kept = np.abs(y_post0 - y_pre0) <= rc_hat
-        changed_caught = np.abs(y_post1 - y_pre1) > rc_hat
-        return int(np.count_nonzero(unchanged_kept)), int(np.count_nonzero(changed_caught))
+        kept = np.count_nonzero(np.abs(y_post0 - y_pre0) <= rc_hat)
+        caught = np.count_nonzero(np.abs(y_post1 - y_pre1) > rc_hat)
+        return ratios, int(kept), int(caught)
 
     results = _run_chunks(worker, chunks)
-    kept = sum(r[0] for r in results)
-    caught = sum(r[1] for r in results)
-    return kept / cfg.replicates, caught / cfg.replicates
+    ratios = np.concatenate([r[0] for r in results])
+    ratios.flags.writeable = False
+    return StudySimulation(
+        ratios=ratios,
+        longitudinal_specificity=sum(r[1] for r in results) / cfg.replicates,
+        longitudinal_sensitivity=sum(r[2] for r in results) / cfg.replicates)

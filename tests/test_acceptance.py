@@ -15,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repeatkit.cli import main
-from repeatkit.mc import (
-    SimulationConfig,
-    simulate_effective_sensitivity,
-    simulate_effective_specificity,
-    simulate_longitudinal_decisions,
-)
+from repeatkit.mc import EmpiricalDistribution, SimulationConfig, simulate_study
 from repeatkit.numerics import (
     chisq_cdf,
     integrate,
@@ -29,6 +24,8 @@ from repeatkit.numerics import (
     normal_quantile,
 )
 from repeatkit.sensitivity import (
+    SensitivityApproximation,
+    effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
     sample_size_sensitivity,
     sensitivity,
@@ -36,6 +33,7 @@ from repeatkit.sensitivity import (
 from repeatkit.specificity import (
     MethodChoice,
     SpecificityQuery,
+    effective_specificity_given_ratio,
     expected_effective_specificity,
     sample_size_specificity,
     specificity_confidence,
@@ -267,7 +265,9 @@ def _mc_seed_passes(seed: int) -> bool:
                                 seed=seed)
     checks = []
 
-    dist = simulate_effective_specificity(cfg_spec)
+    study_spec = simulate_study(cfg_spec)
+    dist = EmpiricalDistribution.from_samples(
+        effective_specificity_given_ratio(study_spec.ratios, 0.95))
     want_spec = expected_effective_specificity(cfg_spec.nu, 0.95,
                                                MethodChoice.EXACT)
     checks.append(abs(dist.mean - want_spec)
@@ -276,19 +276,19 @@ def _mc_seed_passes(seed: int) -> bool:
     checks.append(abs(dist.quantile(0.05) - floor)
                   <= 3.0 * dist.quantile_standard_error(0.05))
 
-    sens_dist = simulate_effective_sensitivity(cfg_sens)
+    study_sens = simulate_study(cfg_sens)
+    sens_dist = EmpiricalDistribution.from_samples(effective_sensitivity_given_ratio(
+        study_sens.ratios, 4.0, 0.95, SensitivityApproximation.FULL_TWO_SIDED))
     want_sens = expected_effective_sensitivity(cfg_sens.nu, 4.0, 0.95,
                                                MethodChoice.EXACT)
     checks.append(abs(sens_dist.mean - want_sens)
                   <= 3.0 * sens_dist.mc_standard_error_of_mean)
 
-    spec_frac, _ = simulate_longitudinal_decisions(cfg_spec)
     se = math.sqrt(want_spec * (1.0 - want_spec) / replicates)
-    checks.append(abs(spec_frac - want_spec) <= 3.0 * se)
+    checks.append(abs(study_spec.longitudinal_specificity - want_spec) <= 3.0 * se)
 
-    _, sens_frac = simulate_longitudinal_decisions(cfg_sens)
     se = math.sqrt(want_sens * (1.0 - want_sens) / replicates)
-    checks.append(abs(sens_frac - want_sens) <= 3.0 * se)
+    checks.append(abs(study_sens.longitudinal_sensitivity - want_sens) <= 3.0 * se)
     return all(checks)
 
 

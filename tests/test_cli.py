@@ -461,6 +461,7 @@ class TestSimulate:
         ("simulate", "--n", "0"),
         ("simulate", "--replicates", "100"),
         ("simulate", "--n", "10", "--wsd", "-1"),
+        ("simulate", "--n", "4000000", "--replicates", "1"),  # over the buffer budget
     ])
     def test_bad_flags_exit_64(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -11,26 +11,35 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repeatkit import cli, mc
 from repeatkit.errors import DomainError
 from repeatkit.mc import (
     QUANTILE_PROBES,
     EmpiricalDistribution,
     SimulationConfig,
-    simulate_effective_sensitivity,
-    simulate_effective_specificity,
-    simulate_longitudinal_decisions,
-    simulate_wsd_ratios,
+    simulate_study,
 )
 from repeatkit.sensitivity import (
     SensitivityApproximation,
+    effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
     sensitivity_lower_bound,
 )
 from repeatkit.specificity import (
     MethodChoice,
+    effective_specificity_given_ratio,
     expected_effective_specificity,
     specificity_lower_bound,
 )
+
+
+def ratios(cfg):
+    return simulate_study(cfg).ratios
+
+
+def decisions(cfg):
+    study = simulate_study(cfg)
+    return study.longitudinal_specificity, study.longitudinal_sensitivity
 
 
 class TestSimulationConfig:
@@ -52,6 +61,7 @@ class TestSimulationConfig:
         {"n": 5, "m": 2, "seed": -1},
         {"n": 5, "m": 2, "seed": 2**64},
         {"n": 5, "m": 2, "p_sp": 1.0},
+        {"n": 4_000_000, "m": 2},  # one replicate's draws exceed the buffer budget
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(DomainError):
@@ -61,41 +71,65 @@ class TestSimulationConfig:
 class TestDeterminism:
     def test_same_config_bit_identical(self):
         cfg = SimulationConfig(n=7, m=3, replicates=500, seed=42)
-        a = simulate_wsd_ratios(cfg)
-        b = simulate_wsd_ratios(cfg)
+        a = ratios(cfg)
+        b = ratios(cfg)
         assert np.array_equal(a, b)
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         # multiple chunks so the pool actually fans out
         cfg = SimulationConfig(n=5, m=2, replicates=10_000, seed=9)
         monkeypatch.setenv("REPEATKIT_THREADS", "1")
-        serial = simulate_wsd_ratios(cfg)
+        serial = ratios(cfg)
         monkeypatch.setenv("REPEATKIT_THREADS", "3")
-        threaded = simulate_wsd_ratios(cfg)
+        threaded = ratios(cfg)
         assert np.array_equal(serial, threaded)
 
     def test_replicate_stream_is_positional(self):
         # replicate r is keyed (seed, r): a shorter run is a prefix of a longer one
-        long = simulate_wsd_ratios(SimulationConfig(n=4, m=2, replicates=300, seed=5))
-        short = simulate_wsd_ratios(SimulationConfig(n=4, m=2, replicates=120, seed=5))
+        long = ratios(SimulationConfig(n=4, m=2, replicates=300, seed=5))
+        short = ratios(SimulationConfig(n=4, m=2, replicates=120, seed=5))
         assert np.array_equal(long[:120], short)
 
     def test_seed_changes_results(self):
-        a = simulate_wsd_ratios(SimulationConfig(n=4, m=2, replicates=200, seed=0))
-        b = simulate_wsd_ratios(SimulationConfig(n=4, m=2, replicates=200, seed=1))
+        a = ratios(SimulationConfig(n=4, m=2, replicates=200, seed=0))
+        b = ratios(SimulationConfig(n=4, m=2, replicates=200, seed=1))
         assert not np.array_equal(a, b)
 
     def test_invalid_thread_env_warns_and_runs(self, monkeypatch):
         monkeypatch.setenv("REPEATKIT_THREADS", "many")
         cfg = SimulationConfig(n=4, m=2, replicates=50, seed=1)
         with pytest.warns(UserWarning, match="REPEATKIT_THREADS"):
-            out = simulate_wsd_ratios(cfg)
+            out = ratios(cfg)
         assert out.shape == (50,)
+
+    def test_rng_contract_is_pinned(self):
+        # bit-level values of the [seed, r] streams: any change to the RNG contract shows here
+        got = ratios(SimulationConfig(n=3, m=2, replicates=3, seed=0))
+        assert [float(x).hex() for x in got] == [
+            "0x1.c6909222ab533p-1", "0x1.0768a9c6bd9bep-1", "0x1.29036c09d7085p-1"]
+        cfg = SimulationConfig(n=10, m=2, delta=2.0, replicates=5000, seed=9)
+        assert decisions(cfg) == (0.9204, 0.3288)
+
+    def test_simulate_draws_each_stream_once(self, monkeypatch, capsys):
+        drawn = []
+        chunk_normals = mc._chunk_normals
+
+        def counting(cfg, start, count, draws):
+            out = chunk_normals(cfg, start, count, draws)
+            drawn.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(mc, "_chunk_normals", counting)
+        argv = ["simulate", "--n", "4", "--replicates", "300", "--delta", "2",
+                "--longitudinal", "--format", "json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert sum(drawn) == 300
 
     @pytest.mark.parametrize("replicates", [1, 4096, 4097])
     def test_chunk_boundaries(self, replicates):
         cfg = SimulationConfig(n=2, m=2, replicates=replicates, seed=3)
-        out = simulate_wsd_ratios(cfg)
+        out = ratios(cfg)
         assert out.shape == (replicates,)
         assert np.all(np.isfinite(out))
 
@@ -104,14 +138,14 @@ class TestRatioDistribution:
     def test_scale_equivariance(self):
         base = SimulationConfig(n=6, m=2, w_sd=1.0, replicates=2000, seed=11)
         scaled = SimulationConfig(n=6, m=2, w_sd=7.0, replicates=2000, seed=11)
-        np.testing.assert_allclose(simulate_wsd_ratios(base),
-                                   simulate_wsd_ratios(scaled),
+        np.testing.assert_allclose(ratios(base),
+                                   ratios(scaled),
                                    rtol=0.0, atol=1e-12)
 
     def test_scaled_square_matches_chi_square(self):
         cfg = SimulationConfig(n=12, m=2, replicates=20_000, seed=7)
         nu = cfg.nu
-        t = nu * simulate_wsd_ratios(cfg) ** 2
+        t = nu * ratios(cfg) ** 2
         # mean nu, variance 2 nu
         se = math.sqrt(2.0 * nu / cfg.replicates)
         assert abs(float(np.mean(t)) - nu) < 4.0 * se
@@ -120,7 +154,7 @@ class TestRatioDistribution:
 
     def test_ratios_concentrate_for_large_nu(self):
         cfg = SimulationConfig(n=500, m=2, replicates=2000, seed=2)
-        r = simulate_wsd_ratios(cfg)
+        r = ratios(cfg)
         assert abs(float(np.mean(r)) - 1.0) < 0.01
         assert float(np.std(r)) == pytest.approx(
             1.0 / math.sqrt(2.0 * cfg.nu), rel=0.15)
@@ -168,7 +202,8 @@ class TestEmpiricalDistribution:
 class TestSpecificityAgreement:
     def test_mean_and_floor_match_analytics(self):
         cfg = SimulationConfig(n=54, m=2, replicates=20_000, seed=1)
-        dist = simulate_effective_specificity(cfg)
+        dist = EmpiricalDistribution.from_samples(
+            effective_specificity_given_ratio(ratios(cfg), cfg.p_sp))
         want_mean = expected_effective_specificity(cfg.nu, cfg.p_sp,
                                                    MethodChoice.EXACT)
         assert abs(dist.mean - want_mean) < 4.0 * dist.mc_standard_error_of_mean
@@ -183,7 +218,8 @@ class TestSpecificityAgreement:
     def test_small_design_skew(self):
         # tiny nu: long left tail, mean clearly below the target coverage
         cfg = SimulationConfig(n=4, m=2, replicates=20_000, seed=4)
-        dist = simulate_effective_specificity(cfg)
+        dist = EmpiricalDistribution.from_samples(
+            effective_specificity_given_ratio(ratios(cfg), cfg.p_sp))
         want = expected_effective_specificity(cfg.nu, 0.95, MethodChoice.EXACT)
         assert abs(dist.mean - want) < 4.0 * dist.mc_standard_error_of_mean
         assert dist.mean < 0.95
@@ -192,7 +228,8 @@ class TestSpecificityAgreement:
 class TestSensitivityAgreement:
     def test_mean_and_floor_match_analytics(self):
         cfg = SimulationConfig(n=139, m=2, delta=4.0, replicates=20_000, seed=1)
-        dist = simulate_effective_sensitivity(cfg)
+        dist = EmpiricalDistribution.from_samples(effective_sensitivity_given_ratio(
+            ratios(cfg), cfg.delta, cfg.p_sp, SensitivityApproximation.FULL_TWO_SIDED))
         want_mean = expected_effective_sensitivity(cfg.nu, cfg.delta, cfg.p_sp,
                                                    MethodChoice.EXACT)
         assert abs(dist.mean - want_mean) < 4.0 * dist.mc_standard_error_of_mean
@@ -209,7 +246,7 @@ class TestSensitivityAgreement:
 class TestLongitudinalDecisions:
     def test_matches_expected_operating_characteristics(self):
         cfg = SimulationConfig(n=54, m=2, delta=4.0, replicates=40_000, seed=6)
-        spec, sens = simulate_longitudinal_decisions(cfg)
+        spec, sens = decisions(cfg)
         want_spec = expected_effective_specificity(cfg.nu, cfg.p_sp,
                                                    MethodChoice.EXACT)
         want_sens = expected_effective_sensitivity(cfg.nu, cfg.delta, cfg.p_sp,
@@ -221,7 +258,7 @@ class TestLongitudinalDecisions:
 
     def test_zero_effect_decision_rates_complement(self):
         cfg = SimulationConfig(n=30, m=2, delta=0.0, replicates=40_000, seed=8)
-        spec, sens = simulate_longitudinal_decisions(cfg)
+        spec, sens = decisions(cfg)
         want_spec = expected_effective_specificity(cfg.nu, cfg.p_sp,
                                                    MethodChoice.EXACT)
         se = math.sqrt(want_spec * (1 - want_spec) / cfg.replicates)
@@ -232,7 +269,7 @@ class TestLongitudinalDecisions:
     def test_deterministic(self, monkeypatch):
         cfg = SimulationConfig(n=10, m=2, delta=2.0, replicates=5000, seed=9)
         monkeypatch.setenv("REPEATKIT_THREADS", "1")
-        first = simulate_longitudinal_decisions(cfg)
+        first = decisions(cfg)
         monkeypatch.setenv("REPEATKIT_THREADS", "4")
-        second = simulate_longitudinal_decisions(cfg)
+        second = decisions(cfg)
         assert first == second
