@@ -30,17 +30,13 @@ import os
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
 from .errors import DataValidationError, DomainError, InfeasibleError
-from .core import (
-    TestRetestData,
-    design_degrees_of_freedom,
-    estimate_wsd,
-    ratio_density_exact,
-)
+from .core import design_degrees_of_freedom, pooled_wsd, ratio_density_exact
 from .specificity import (
     MethodChoice,
     SpecificityQuery,
@@ -63,7 +59,7 @@ from .sensitivity import (
 )
 from .mc import EmpiricalDistribution, SimulationConfig, simulate_study
 
-__all__ = ["main", "build_parser", "MeasurementRecord", "ReportEnvelope"]
+__all__ = ["main", "build_parser", "ReportEnvelope"]
 
 # Default parameter grids of the published sample-size reference tables.
 TABLE_M_VALUES = (2, 3, 4, 5)
@@ -80,15 +76,6 @@ EXIT_CANTCREAT = 73
 
 class UsageError(Exception):
     """Malformed flags or flag combinations; maps to exit code 64."""
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One CSV row of test-retest input data."""
-
-    subject_id: str
-    replicate_index: int
-    value: float
 
 
 def _round10(x: float) -> float:
@@ -427,7 +414,23 @@ def cmd_retro(args) -> ReportEnvelope:
     return env
 
 
-def _read_measurements(stream, source: str) -> list[MeasurementRecord]:
+# Replicate indices are compared as 64-bit integers.
+_MAX_REPLICATE_INDEX = 2**63 - 1
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse and validate a measurement CSV into columns.
+
+    Returns the subject ids in order of first appearance, each data row's
+    subject code (its position in that list) and each data row's value.
+    Every check runs on whole columns; only when one fails are the rows
+    walked again, by :func:`_check_rows`, to report the first failing row
+    in file order.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -437,10 +440,63 @@ def _read_measurements(stream, source: str) -> list[MeasurementRecord]:
     if [h.strip() for h in header] != expected:
         raise DataValidationError(
             f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
-    records = []
+    rows = list(reader)
+    data = rows
+    if set(map(len, rows)) != {3}:
+        data = [row for row in rows if not _is_blank(row)]
+    if not data:
+        raise DataValidationError(f"{source}: no data rows")
+    columns = _columns(data)
+    if columns is None:
+        _check_rows(rows, source)
+    names, codes, values = columns
+    counts = np.bincount(codes)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        k = short[0]
+        raise DataValidationError(
+            f"subject {names[k]!r} has {counts[k]} measurement(s); "
+            "at least 2 replicates are required")
+    return names, codes, values
+
+
+def _columns(data: list[list[str]]):
+    """``(names, codes, values)`` of non-blank rows, or None if any row is invalid.
+
+    Parses with ``int`` and ``float`` exactly as a row-by-row reader would.
+    A duplicate ``(subject_id, replicate_index)`` shows as two equal
+    neighbours once the rows' ``(code, index rank)`` keys are sorted.
+    """
+    if set(map(len, data)) != {3}:
+        return None
+    sids = list(map(str.strip, map(itemgetter(0), data)))
+    if "" in sids:
+        return None
+    try:
+        idx = np.array(list(map(int, map(itemgetter(1), data))), dtype=np.int64)
+        values = np.array(list(map(float, map(itemgetter(2), data))), dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if idx.min() < 1 or not np.isfinite(values).all():
+        return None
+    names = list(dict.fromkeys(sids))
+    lookup = {name: code for code, name in enumerate(names)}
+    codes = np.fromiter(map(lookup.__getitem__, sids), np.intp, len(sids))
+    distinct, rank = np.unique(idx, return_inverse=True)
+    keys = np.sort(codes * distinct.size + rank)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return names, codes, values
+
+
+def _check_rows(rows: list[list[str]], source: str) -> None:
+    """Raise the error of the first invalid data row, numbering rows from 2.
+
+    Makes the checks of :func:`_columns` one row at a time, in file order.
+    """
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
+    for lineno, row in enumerate(rows, start=2):
+        if _is_blank(row):
             continue
         if len(row) != 3:
             raise DataValidationError(f"{source}:{lineno}: expected 3 columns, got {len(row)}")
@@ -461,46 +517,33 @@ def _read_measurements(stream, source: str) -> list[MeasurementRecord]:
                 f"{source}:{lineno}: value {row[2]!r} is not numeric") from None
         if not math.isfinite(value):
             raise DataValidationError(f"{source}:{lineno}: value {row[2]!r} is not finite")
+        if idx > _MAX_REPLICATE_INDEX:
+            raise DataValidationError(
+                f"{source}:{lineno}: replicate_index {row[1]!r} is out of range")
         if (sid, idx) in seen:
             raise DataValidationError(
                 f"{source}:{lineno}: duplicate (subject_id, replicate_index) = ({sid}, {idx})")
         seen.add((sid, idx))
-        records.append(MeasurementRecord(sid, idx, value))
-    if not records:
-        raise DataValidationError(f"{source}: no data rows")
-    return records
-
-
-def _records_to_data(records: list[MeasurementRecord]) -> TestRetestData:
-    by_subject: dict[str, dict[int, float]] = {}
-    for rec in records:
-        by_subject.setdefault(rec.subject_id, {})[rec.replicate_index] = rec.value
-    subjects = tuple(
-        (sid, tuple(v for _, v in sorted(reps.items())))
-        for sid, reps in by_subject.items())
-    return TestRetestData(subjects)
 
 
 def cmd_estimate(args) -> ReportEnvelope:
     source = args.csv
     if source == "-":
-        records = _read_measurements(sys.stdin, "<stdin>")
+        names, codes, values = _read_study(sys.stdin, "<stdin>")
     else:
         try:
             with open(source, newline="", encoding="utf-8") as fh:
-                records = _read_measurements(fh, source)
+                names, codes, values = _read_study(fh, source)
         except OSError as e:
             raise DataValidationError(f"cannot read {source}: {e}") from None
-    data = _records_to_data(records)
     env = ReportEnvelope(
         command="estimate",
         inputs={"csv": source, "psp": args.psp,
-                "subjects": len(data.subjects),
-                "measurements": sum(len(v) for _, v in data.subjects)},
+                "subjects": len(names), "measurements": values.size},
         method=("exact",))
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        est = estimate_wsd(data)
+        est = pooled_wsd(codes, values)
         rc = est.repeatability_coefficient(args.psp)
         bounds = {conf: specificity_lower_bound(est.nu, args.psp, conf, MethodChoice.EXACT)
                   for conf in (0.80, 0.90, 0.95)}

@@ -22,6 +22,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataValidationError, DomainError
 from .numerics import (
     check_degrees_of_freedom,
@@ -36,6 +38,7 @@ __all__ = [
     "RepeatabilityCoefficient",
     "LongitudinalPair",
     "estimate_wsd",
+    "pooled_wsd",
     "repeatability_coefficient",
     "decide_change",
     "symmetric_coverage_quantile",
@@ -184,26 +187,39 @@ def estimate_wsd(data: TestRetestData) -> WsdEstimate:
 
     Warns (without failing) when ``nu < 10``, where the downstream
     large-sample approximations are unreliable, and when the estimate is
-    exactly zero.
+    exactly zero.  The reduction itself is :func:`pooled_wsd`.
     """
     if not isinstance(data, TestRetestData):
         data = TestRetestData(tuple(data))
-    pooled_ss = 0.0
-    nu = 0
-    for subject_id, values in data.subjects:
-        mean = math.fsum(values) / len(values)
-        pooled_ss += math.fsum((v - mean) ** 2 for v in values)
-        nu += len(values) - 1
-    wsd_hat = math.sqrt(pooled_ss / nu)
+    counts = [len(values) for _, values in data.subjects]
+    codes = np.repeat(np.arange(len(counts)), counts)
+    return pooled_wsd(codes, np.concatenate([values for _, values in data.subjects]))
+
+
+def pooled_wsd(codes: np.ndarray, values: np.ndarray) -> WsdEstimate:
+    """:func:`estimate_wsd` on a flat layout of the measurements.
+
+    ``values[k]`` is a measurement of subject ``codes[k]``.  The codes run
+    over ``0 .. n-1`` with every subject measured at least twice, and the
+    values are finite; rows may come in any order.  Subject means and the
+    sum of squared deviations from them are two passes over the columns.
+    Warns like :func:`estimate_wsd`.
+    """
+    counts = np.bincount(codes)
+    means = np.bincount(codes, weights=values) / counts
+    resid = values - means[codes]
+    nu = values.size - counts.size
+    wsd_hat = math.sqrt(float(np.square(resid).sum()) / nu)
+    # stacklevel 3 names the estimator's caller, not this helper
     if nu < SMALL_NU_WARNING_THRESHOLD:
         warnings.warn(
             f"only {nu} degrees of freedom; large-sample approximations and "
             "the reported operating characteristics are unreliable below "
-            f"{SMALL_NU_WARNING_THRESHOLD}", stacklevel=2)
+            f"{SMALL_NU_WARNING_THRESHOLD}", stacklevel=3)
     if wsd_hat == 0.0:
         warnings.warn(
             "within-subject spread is exactly zero; every nonzero change "
-            "will be declared significant", stacklevel=2)
+            "will be declared significant", stacklevel=3)
     return WsdEstimate(wsd_hat=wsd_hat, nu=nu)
 
 

@@ -54,6 +54,14 @@ QUANTILE_PROBES = (0.01, 0.05, 0.25, 0.50, 0.75, 0.95, 0.99)
 _CHUNK_REPLICATES = 4096
 _CHUNK_BUDGET_DRAWS = 8_000_000
 
+# Memory bound on a whole run.  Besides the chunk buffers, each replicate
+# keeps at most eight float64 values alive at once: its chunk's ratio and
+# the concatenated ratios, then the specificity and sensitivity samples,
+# their read-only copies and the temporaries of the ratio maps and of the
+# quantiles.  A run over the budget is rejected before anything is drawn.
+_BYTES_PER_REPLICATE = 8 * 8
+_RUN_BUDGET_BYTES = 2**30
+
 
 def _thread_count() -> int:
     raw = os.environ.get("REPEATKIT_THREADS", "0")
@@ -103,6 +111,11 @@ class SimulationConfig:
         if not isinstance(self.replicates, int) or isinstance(self.replicates, bool) \
                 or self.replicates < 1:
             raise DomainError(f"replicates must be a positive integer, got {self.replicates!r}")
+        if self.replicates * _BYTES_PER_REPLICATE > _RUN_BUDGET_BYTES:
+            raise DomainError(
+                f"replicates = {self.replicates} exceed the sample memory budget of "
+                f"{_RUN_BUDGET_BYTES} bytes at {_BYTES_PER_REPLICATE} bytes per replicate "
+                f"(at most {_RUN_BUDGET_BYTES // _BYTES_PER_REPLICATE} replicates)")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")

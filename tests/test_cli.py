@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -293,6 +294,7 @@ class TestEstimate:
         ("subject_id,replicate_index,value\nA,1,abc\n", "not numeric"),
         ("subject_id,replicate_index,value\nA,1,inf\n", "not finite"),
         ("subject_id,replicate_index,value\nA,1,2\nA,1,3\n", "duplicate"),
+        ("subject_id,replicate_index,value\nA,9223372036854775808,2\n", "out of range"),
         ("subject_id,replicate_index,value\nA,1,2\nA,2,3\nB,1,4\n",
          "at least 2 replicates"),
     ])
@@ -314,6 +316,56 @@ class TestEstimate:
     def test_missing_file_exits_65(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--csv", str(tmp_path / "nope.csv"))
         assert code == EXIT_DATA
+
+    def test_reports_first_failing_row_in_file_order(self, capsys, tmp_path):
+        # a duplicate on row 3 and a non-numeric value on row 5
+        path = tmp_path / "bad.csv"
+        path.write_text("subject_id,replicate_index,value\n"
+                        "A,1,2\nA,1,3\nB,1,4\nB,2,x\n")
+        code, _, err = run(capsys, "estimate", "--csv", str(path))
+        assert code == EXIT_DATA
+        assert f"{path}:3: duplicate (subject_id, replicate_index) = (A, 1)" in err
+
+    def test_blank_rows_keep_line_numbers(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("subject_id,replicate_index,value\n"
+                        "A,1,2\n\nA,2,3\n   \n\nB,1,4\nB,x,5\n")
+        code, _, err = run(capsys, "estimate", "--csv", str(path))
+        assert code == EXIT_DATA
+        assert f"{path}:8: replicate_index 'x' is not an integer" in err
+
+    def test_quoted_fields(self, capsys, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('subject_id,replicate_index,value\n"A",1,2\n"A",2,4\n'
+                        '"B, C",1,1\n"B, C",2,2.5\nA ,3,3\n')
+        payload = run_json(capsys, "estimate", "--csv", str(path))
+        assert payload["inputs"]["subjects"] == 2
+        assert payload["inputs"]["measurements"] == 5
+        # A: (2, 4, 3) has SS 2; "B, C": (1, 2.5) has SS 1.125; nu = 3
+        assert one(payload, "wsd_hat") == pytest.approx(math.sqrt(3.125 / 3), abs=1e-9)
+        assert one(payload, "degrees_of_freedom") == 3
+
+    def test_shuffled_unbalanced_study(self, capsys, tmp_path):
+        rng = np.random.default_rng(2024)
+        counts = rng.integers(2, 6, 2900)
+        subjects = [(f"S{i:04d}", (rng.normal(0.0, 1e3) + rng.uniform(0.1, 10.0)
+                                   * rng.standard_normal(c)).tolist())
+                    for i, c in enumerate(counts)]
+        rows = [(sid, j + 1, v) for sid, vals in subjects for j, v in enumerate(vals)]
+        path = tmp_path / "study.csv"
+        path.write_text("subject_id,replicate_index,value\n" + "".join(
+            f"{sid},{j},{v!r}\n" for sid, j, v in (rows[k] for k in rng.permutation(len(rows)))))
+        pooled_ss = 0.0
+        for _, vals in subjects:
+            mean = math.fsum(vals) / len(vals)
+            pooled_ss += math.fsum((v - mean) ** 2 for v in vals)
+        nu = len(rows) - len(subjects)
+        payload = run_json(capsys, "estimate", "--csv", str(path))
+        assert len(rows) > 10_000
+        assert payload["inputs"]["subjects"] == len(subjects)
+        assert payload["inputs"]["measurements"] == len(rows)
+        assert one(payload, "degrees_of_freedom") == nu
+        assert one(payload, "wsd_hat") == float(f"{math.sqrt(pooled_ss / nu):.10g}")
 
 
 class TestTables:
@@ -462,6 +514,7 @@ class TestSimulate:
         ("simulate", "--replicates", "100"),
         ("simulate", "--n", "10", "--wsd", "-1"),
         ("simulate", "--n", "4000000", "--replicates", "1"),  # over the buffer budget
+        ("simulate", "--n", "54", "--replicates", str(10**12)),  # over the memory budget
     ])
     def test_bad_flags_exit_64(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +131,27 @@ class TestEstimateWsd:
             warnings.simplefilter("error")
             est = estimate_wsd(data)
         assert est.nu == 12
+
+    @given(st.lists(st.tuples(st.integers(2, 5), st.floats(-1e3, 1e3), st.floats(0.1, 10.0)),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fsum_reference(self, designs, seed):
+        # unbalanced designs: 2-5 replicates, subject offsets and spreads vary
+        rng = np.random.default_rng(seed)
+        subjects = [tuple((offset + spread * rng.standard_normal(count)).tolist())
+                    for count, offset, spread in designs]
+        pooled_ss = 0.0
+        for values in subjects:
+            mean = math.fsum(values) / len(values)
+            pooled_ss += math.fsum((v - mean) ** 2 for v in values)
+        nu = sum(len(values) - 1 for values in subjects)
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = estimate_wsd(make_data(*subjects))
+        assert est.nu == nu
+        assert est.wsd_hat == pytest.approx(math.sqrt(pooled_ss / nu), rel=1e-13)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=50, deadline=None)

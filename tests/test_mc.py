@@ -62,10 +62,15 @@ class TestSimulationConfig:
         {"n": 5, "m": 2, "seed": 2**64},
         {"n": 5, "m": 2, "p_sp": 1.0},
         {"n": 4_000_000, "m": 2},  # one replicate's draws exceed the buffer budget
+        {"n": 5, "m": 2, "replicates": 10**12},  # the samples exceed the memory budget
     ])
     def test_rejects_bad_inputs(self, kwargs):
         with pytest.raises(DomainError):
             SimulationConfig(**kwargs)
+
+    def test_memory_budget_admits_ten_million_replicates(self):
+        # construction only: nothing is drawn or allocated
+        assert SimulationConfig(n=54, m=2, replicates=10**7).replicates == 10**7
 
 
 class TestDeterminism:
