@@ -18,6 +18,7 @@ from .errors import (
 )
 from .core import (
     LongitudinalPair,
+    MethodChoice,
     RepeatabilityCoefficient,
     TestRetestData,
     WsdEstimate,
@@ -28,9 +29,7 @@ from .core import (
     symmetric_coverage_quantile,
 )
 from .specificity import (
-    MethodChoice,
     SampleSizeResult,
-    SpecificityQuery,
     effective_specificity_given_ratio,
     effective_specificity_pdf,
     expected_effective_specificity,
@@ -41,7 +40,6 @@ from .specificity import (
 from .sensitivity import (
     EffectSize,
     SensitivityApproximation,
-    SensitivityQuery,
     effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
     sample_size_sensitivity,
@@ -69,7 +67,6 @@ __all__ = [
     "design_degrees_of_freedom",
     "symmetric_coverage_quantile",
     "MethodChoice",
-    "SpecificityQuery",
     "SampleSizeResult",
     "effective_specificity_given_ratio",
     "effective_specificity_pdf",
@@ -79,7 +76,6 @@ __all__ = [
     "sample_size_specificity",
     "EffectSize",
     "SensitivityApproximation",
-    "SensitivityQuery",
     "sensitivity",
     "effective_sensitivity_given_ratio",
     "expected_effective_sensitivity",

@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
@@ -36,10 +37,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DataValidationError, DomainError, InfeasibleError
-from .core import design_degrees_of_freedom, pooled_wsd, ratio_density_exact
+from .core import MethodChoice, design_degrees_of_freedom, pooled_wsd, ratio_density_exact
 from .specificity import (
-    MethodChoice,
-    SpecificityQuery,
     effective_specificity_given_ratio,
     effective_specificity_pdf,
     expected_effective_specificity,
@@ -50,7 +49,6 @@ from .specificity import (
 from .sensitivity import (
     EffectSize,
     SensitivityApproximation,
-    SensitivityQuery,
     effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
     sample_size_sensitivity,
@@ -394,12 +392,11 @@ def cmd_retro(args) -> ReportEnvelope:
     if asym_lb is not None:
         env.add("specificity_lower_bound", asym_lb, "asymptotic", "probability")
     for b in args.bound:
-        q = SpecificityQuery(p_sp=args.psp, p_esp_lb=b, p_conf=args.conf, nu=nu)
         env.add(f"prob_effective_specificity_below[{b:g}]",
-                1.0 - specificity_confidence(q, MethodChoice.EXACT),
+                1.0 - specificity_confidence(nu, args.psp, b, MethodChoice.EXACT),
                 "exact", "probability")
         env.add(f"prob_effective_specificity_below[{b:g}]",
-                1.0 - specificity_confidence(q, MethodChoice.ASYMPTOTIC),
+                1.0 - specificity_confidence(nu, args.psp, b, MethodChoice.ASYMPTOTIC),
                 "asymptotic", "probability")
     for d in args.delta:
         eff = EffectSize(d)
@@ -440,6 +437,7 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
     if [h.strip() for h in header] != expected:
         raise DataValidationError(
             f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
+    first_line = reader.line_num + 1
     rows = list(reader)
     data = rows
     if set(map(len, rows)) != {3}:
@@ -448,7 +446,7 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
         raise DataValidationError(f"{source}: no data rows")
     columns = _columns(data)
     if columns is None:
-        _check_rows(rows, source)
+        _check_rows(rows, source, first_line)
     names, codes, values = columns
     counts = np.bincount(codes)
     short = np.flatnonzero(counts < 2)
@@ -489,13 +487,21 @@ def _columns(data: list[list[str]]):
     return names, codes, values
 
 
-def _check_rows(rows: list[list[str]], source: str) -> None:
-    """Raise the error of the first invalid data row, numbering rows from 2.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def _check_rows(rows: list[list[str]], source: str, first_line: int) -> None:
+    """Raise the error of the first invalid data row, named by its line in the file.
 
     Makes the checks of :func:`_columns` one row at a time, in file order.
+    The first row starts on ``first_line``; a quoted field that spans lines
+    moves every later row down by its line breaks.
     """
     seen = set()
-    for lineno, row in enumerate(rows, start=2):
+    next_line = first_line
+    for row in rows:
+        lineno = next_line
+        next_line += 1 + sum(len(_LINE_BREAK.findall(field)) for field in row)
         if _is_blank(row):
             continue
         if len(row) != 3:

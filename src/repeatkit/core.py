@@ -11,24 +11,29 @@ It also carries the sampling law of the normalized estimation error
 ``W = wsd_hat / w_SD``: with ``nu = sum_i (m_i - 1)`` pooled degrees of
 freedom, ``nu * W**2`` is chi-square distributed with ``nu`` degrees of
 freedom, and ``W`` is asymptotically normal with mean 1 and variance
-``1/(2 nu)``.  Downstream expectations and confidence statements use closed
-forms of that law; the exact density of ``W`` lives here for plotting and
-as a reference to integrate against.
+``1/(2 nu)``.  :class:`MethodChoice` picks one of the two; the density,
+CDF and quantile of ``W`` live here, and every confidence statement and
+worst-case bound downstream is one call into them.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfinv
 
 from .errors import DataValidationError, DomainError
 from .numerics import (
     check_degrees_of_freedom,
     check_probability,
+    chisq_cdf,
     chisq_pdf,
+    chisq_quantile,
+    normal_cdf,
     normal_quantile,
 )
 
@@ -43,7 +48,10 @@ __all__ = [
     "decide_change",
     "symmetric_coverage_quantile",
     "design_degrees_of_freedom",
+    "MethodChoice",
     "ratio_density_exact",
+    "ratio_cdf",
+    "ratio_quantile",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -58,10 +66,16 @@ def symmetric_coverage_quantile(p: float) -> float:
 
     Equals ``normal_quantile(1 - (1 - p)/2)``; the factor that turns a
     standard deviation into the half-width of a symmetric interval with
-    coverage ``p``.
+    coverage ``p``.  Where that argument rounds to 0.5 (``p < ~1e-16``) or
+    1, ``sqrt(2) erfinv(p)`` or ``-normal_quantile((1 - p)/2)`` stands in.
     """
     p = check_probability(p, "coverage probability")
-    return normal_quantile(1.0 - (1.0 - p) / 2.0)
+    q = 1.0 - (1.0 - p) / 2.0
+    if q == 0.5:
+        return _SQRT2 * float(erfinv(p))
+    if q == 1.0:
+        return -normal_quantile((1.0 - p) / 2.0)
+    return normal_quantile(q)
 
 
 def design_degrees_of_freedom(n_subjects: int, replicates: int) -> int:
@@ -255,6 +269,28 @@ def decide_change(pair: LongitudinalPair, rc: RepeatabilityCoefficient) -> bool:
 # sampling law of W = wsd_hat / w_SD
 # ---------------------------------------------------------------------------
 
+class MethodChoice(enum.Enum):
+    """Distributional treatment of the estimation-error ratio ``W``.
+
+    ``EXACT`` uses the chi-square law of ``nu * W**2``; ``ASYMPTOTIC`` uses
+    the normal limit ``W ~ N(1, 1/(2 nu))``.
+    """
+
+    EXACT = "exact"
+    ASYMPTOTIC = "asymptotic"
+
+
+def _as_method(method) -> MethodChoice:
+    if isinstance(method, MethodChoice):
+        return method
+    try:
+        return MethodChoice(method)
+    except ValueError:
+        raise DomainError(
+            f"method must be MethodChoice or one of "
+            f"{[m.value for m in MethodChoice]}, got {method!r}") from None
+
+
 def ratio_density_exact(w: float, nu: int) -> float:
     """Density of ``W = wsd_hat / w_SD`` at ``w > 0``: chi-square transformed.
 
@@ -264,3 +300,36 @@ def ratio_density_exact(w: float, nu: int) -> float:
     if not math.isfinite(w) or w <= 0.0:
         raise DomainError(f"ratio w must be positive and finite, got {w!r}")
     return chisq_pdf(nu * w * w, nu) * 2.0 * w * nu
+
+
+def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
+    """``P[W <= w]`` at ``w > 0`` for ``nu`` degrees of freedom.
+
+    The chi-square CDF at ``nu w^2`` exactly (1 where that overflows), or
+    ``Phi((w - 1) sqrt(2 nu))`` asymptotically.
+    """
+    nu = check_degrees_of_freedom(nu)
+    w = float(w)
+    if not math.isfinite(w) or w <= 0.0:
+        raise DomainError(f"ratio w must be positive and finite, got {w!r}")
+    if _as_method(method) is MethodChoice.EXACT:
+        x = nu * w * w
+        return chisq_cdf(x, nu) if math.isfinite(x) else 1.0
+    return normal_cdf((w - 1.0) * math.sqrt(2.0 * nu))
+
+
+def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
+    """The ``w`` with ``ratio_cdf(w, nu, method) = q``, inverse of :func:`ratio_cdf`.
+
+    Raises DomainError where the normal approximation puts the quantile at
+    or below 0, which happens for small ``nu`` and small ``q``.
+    """
+    nu = check_degrees_of_freedom(nu)
+    if _as_method(method) is MethodChoice.EXACT:
+        return math.sqrt(chisq_quantile(q, nu) / nu)
+    w = 1.0 + normal_quantile(q) / math.sqrt(2.0 * nu)
+    if w <= 0.0:
+        raise DomainError(
+            f"normal approximation places the {q:g} ratio quantile at "
+            f"w={w:.4g} <= 0 for nu={nu}; use the exact method")
+    return w

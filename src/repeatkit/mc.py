@@ -162,16 +162,16 @@ class EmpiricalDistribution:
         q = check_probability(q, "q")
         return float(np.quantile(self.samples, q))
 
-    def quantile_standard_error(self, q: float, half_window: float = 0.01) -> float:
+    def quantile_standard_error(self, q: float) -> float:
         """Monte Carlo standard error of the ``q``-quantile.
 
         Binomial/density method: ``sqrt(q (1-q) / R)`` counting error scaled
         by the inverse density, the latter estimated from the quantile slope
-        over ``q +- half_window``.
+        over ``q +- 0.01`` (narrower near 0 and 1).
         """
         q = check_probability(q, "q")
         r = self.samples.size
-        h = min(half_window, 0.5 * q, 0.5 * (1.0 - q))
+        h = min(0.01, 0.5 * q, 0.5 * (1.0 - q))
         if h <= 0.0 or r < 2:
             raise DomainError("too few samples or too extreme q for a quantile SE")
         slope = (np.quantile(self.samples, q + h)

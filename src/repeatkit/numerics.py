@@ -47,22 +47,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # argument checking
 # ---------------------------------------------------------------------------
 
-def check_probability(value: float, name: str = "probability", *,
-                      closed: bool = False) -> float:
-    """Validate a probability and return it as a float.
-
-    Open interval (0, 1) by default; ``closed=True`` admits the endpoints.
-    """
+def check_probability(value: float, name: str = "probability") -> float:
+    """Validate a probability strictly inside (0, 1) and return it as a float."""
     try:
         p = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(p):
         raise DomainError(f"{name} must be finite, got {p!r}")
-    if closed:
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
-    elif not 0.0 < p < 1.0:
+    if not 0.0 < p < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {p!r}")
     return p
 

@@ -27,22 +27,25 @@ import numpy as np
 from scipy.special import nctdtr
 
 from .errors import DomainError, InfeasibleError
-from .core import symmetric_coverage_quantile
+from .core import (
+    MethodChoice,
+    _as_method,
+    ratio_cdf,
+    ratio_quantile,
+    symmetric_coverage_quantile,
+)
 from .numerics import (
     check_degrees_of_freedom,
     check_probability,
-    chisq_cdf,
-    chisq_quantile,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
 )
-from .specificity import MethodChoice, SampleSizeResult, _as_method
+from .specificity import MAX_SUBJECTS, SampleSizeResult
 
 __all__ = [
     "EffectSize",
     "SensitivityApproximation",
-    "SensitivityQuery",
     "sensitivity",
     "effective_sensitivity_given_ratio",
     "expected_effective_sensitivity",
@@ -119,31 +122,6 @@ def _as_effect(delta) -> EffectSize:
     if isinstance(delta, EffectSize):
         return delta
     return EffectSize(float(delta))
-
-
-@dataclass(frozen=True)
-class SensitivityQuery:
-    """Inputs of a confidence question about the effective sensitivity.
-
-    Asks: with ``nu`` pooled degrees of freedom, target specificity
-    ``p_sp`` and effect size ``delta``, how sure can we be that the
-    realized sensitivity stays at or above ``p_ese_lb``?
-    """
-
-    p_sp: float
-    delta: EffectSize
-    p_ese_lb: float
-    p_conf: float
-    nu: int
-    approximation: SensitivityApproximation = SensitivityApproximation.ONE_SIDED_EXCEEDANCE
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_sp", check_probability(self.p_sp, "p_sp"))
-        object.__setattr__(self, "delta", _as_effect(self.delta))
-        object.__setattr__(self, "p_ese_lb", check_probability(self.p_ese_lb, "p_ese_lb"))
-        object.__setattr__(self, "p_conf", check_probability(self.p_conf, "p_conf"))
-        object.__setattr__(self, "nu", check_degrees_of_freedom(self.nu))
-        object.__setattr__(self, "approximation", _as_approximation(self.approximation))
 
 
 def _p_ese_raw(y, d, approximation: SensitivityApproximation):
@@ -269,37 +247,43 @@ def _attainable_sensitivity(eff: EffectSize, p_sp: float,
     return _p_ese_raw(z, eff.delta / _SQRT2, approximation)
 
 
-def sensitivity_confidence(query: SensitivityQuery,
-                           method: MethodChoice = MethodChoice.EXACT) -> float:
-    """Probability that the effective sensitivity reaches the queried bound.
+def _ratio_cap(p_ese_lb: float, d: float, z: float,
+               approximation: SensitivityApproximation) -> float:
+    # the ratio W at which the effective sensitivity equals p_ese_lb
+    if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
+        return (normal_quantile(1.0 - p_ese_lb) + d) / z
+    return _invert_two_sided(p_ese_lb, d, z)
 
-    One-sided form: the bound maps to a ratio cap
-    ``u = (Phi^{-1}(1 - p_ese_lb) + delta/sqrt(2)) / z`` and the answer is
-    ``P[W <= u]`` (chi-square CDF exactly, normal CDF asymptotically).  The
-    full two-sided form first inverts the sensitivity map numerically, then
-    takes the same tail.  The query is infeasible when even a perfect
-    estimate could not attain the bound.
+
+def sensitivity_confidence(
+        nu: int, delta, p_sp: float = 0.95, p_ese_lb: float = 0.75,
+        method: MethodChoice = MethodChoice.EXACT,
+        approximation: SensitivityApproximation = SensitivityApproximation.ONE_SIDED_EXCEEDANCE,
+) -> float:
+    """Probability that the effective sensitivity reaches ``p_ese_lb``.
+
+    The bound maps to a ratio cap ``u`` and the answer is
+    ``P[W <= u]`` by :func:`ratio_cdf`.  One-sided,
+    ``u = (Phi^{-1}(1 - p_ese_lb) + delta/sqrt(2)) / z``; the full
+    two-sided form inverts the sensitivity map numerically.  The query is
+    infeasible when even a perfect estimate could not attain the bound.
     """
-    method = _as_method(method)
-    eff = query.delta
-    if (query.approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE
+    p_sp = check_probability(p_sp, "p_sp")
+    eff = _as_effect(delta)
+    p_ese_lb = check_probability(p_ese_lb, "p_ese_lb")
+    nu = check_degrees_of_freedom(nu)
+    approximation = _as_approximation(approximation)
+    if (approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE
             and eff.delta == 0.0):
         raise DomainError("one-sided form requires a nonzero effect size")
-    attainable = _attainable_sensitivity(eff, query.p_sp, query.approximation)
-    if attainable <= query.p_ese_lb:
+    attainable = _attainable_sensitivity(eff, p_sp, approximation)
+    if attainable <= p_ese_lb:
         raise InfeasibleError(
-            f"sensitivity at delta={eff.delta:g} and p_sp={query.p_sp:g} is "
-            f"{attainable:.6f} under {query.approximation.value}; the lower "
-            f"bound {query.p_ese_lb:g} must be strictly below it")
-    z = symmetric_coverage_quantile(query.p_sp)
-    d = eff.delta / _SQRT2
-    if query.approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
-        u = (normal_quantile(1.0 - query.p_ese_lb) + d) / z
-    else:
-        u = _invert_two_sided(query.p_ese_lb, d, z)
-    if method is MethodChoice.EXACT:
-        return chisq_cdf(query.nu * u * u, query.nu)
-    return normal_cdf((u - 1.0) * math.sqrt(2.0 * query.nu))
+            f"sensitivity at delta={eff.delta:g} and p_sp={p_sp:g} is "
+            f"{attainable:.6f} under {approximation.value}; the lower "
+            f"bound {p_ese_lb:g} must be strictly below it")
+    z = symmetric_coverage_quantile(p_sp)
+    return ratio_cdf(_ratio_cap(p_ese_lb, eff.delta / _SQRT2, z, approximation), nu, method)
 
 
 def sensitivity_lower_bound(
@@ -310,26 +294,16 @@ def sensitivity_lower_bound(
     """Worst-case effective sensitivity held with probability ``p_conf``.
 
     The effective sensitivity is decreasing in ``W``, so the guaranteed
-    floor sits at the upper ``p_conf`` quantile of ``W``; the chi-square
-    form gives it in closed form.  Inverse of
+    floor sits at the upper ``p_conf`` quantile of ``W``.  Inverse of
     :func:`sensitivity_confidence` in the bound argument.
     """
-    nu = check_degrees_of_freedom(nu)
     p_conf = check_probability(p_conf, "p_conf")
-    method = _as_method(method)
     approximation = _as_approximation(approximation)
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
         raise DomainError("sensitivity_lower_bound requires a nonzero effect size")
-    if method is MethodChoice.EXACT:
-        w_q = math.sqrt(chisq_quantile(p_conf, nu) / nu)
-    else:
-        w_q = 1.0 + normal_quantile(p_conf) / math.sqrt(2.0 * nu)
-        if w_q <= 0.0:
-            raise DomainError(
-                f"normal approximation places the {p_conf:g} ratio quantile "
-                f"at w={w_q:.4g} <= 0 for nu={nu}; use the exact method")
-    return effective_sensitivity_given_ratio(w_q, eff, p_sp, approximation)
+    return effective_sensitivity_given_ratio(
+        ratio_quantile(p_conf, nu, method), eff, p_sp, approximation)
 
 
 def sample_size_sensitivity(
@@ -337,15 +311,15 @@ def sample_size_sensitivity(
         p_conf: float = 0.95,
         method: MethodChoice = MethodChoice.EXACT,
         approximation: SensitivityApproximation = SensitivityApproximation.ONE_SIDED_EXCEEDANCE,
-        max_n: int = 10_000_000) -> SampleSizeResult:
+) -> SampleSizeResult:
     """Minimal subjects ``n`` (at ``m`` replicates each) for a sensitivity floor.
 
     Smallest ``n`` such that, with ``nu = n (m - 1)`` degrees of freedom,
     the effective sensitivity at effect size ``delta`` stays at or above
-    ``p_ese_lb`` with probability at least ``p_conf``.  Three routes:
-    asymptotic closed form (one-sided, returns ``raw``), integer search
-    over the one-sided chi-square confidence, or integer search over the
-    numerically inverted full two-sided confidence.
+    ``p_ese_lb`` with probability at least ``p_conf``.  Two routes: the
+    asymptotic closed form (one-sided, returns ``raw``), or an integer
+    search over :func:`ratio_cdf` at the cap ``u`` of
+    :func:`sensitivity_confidence`, found once before the search.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise DomainError(f"replicates per subject m must be an integer >= 2, got {m!r}")
@@ -381,17 +355,13 @@ def sample_size_sensitivity(
             approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    def enough(n: int) -> bool:
-        q = SensitivityQuery(p_sp=p_sp, delta=eff, p_ese_lb=p_ese_lb,
-                             p_conf=p_conf, nu=n * (m - 1),
-                             approximation=approximation)
-        return sensitivity_confidence(q, method) >= p_conf
-
-    hint = min(max(1, math.ceil(raw)), max_n) if math.isfinite(raw) else 1
+    u = _ratio_cap(p_ese_lb, d, z, approximation)
+    hint = min(max(1, math.ceil(raw)), MAX_SUBJECTS) if math.isfinite(raw) else 1
     try:
-        n = min_integer_satisfying(enough, start_hint=hint, max_n=max_n)
+        n = min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf,
+                                   start_hint=hint, max_n=MAX_SUBJECTS)
     except InfeasibleError:
         raise InfeasibleError(
-            f"no sample size up to {max_n} reaches confidence {p_conf} for "
+            f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
             f"floor {p_ese_lb} at delta={eff.delta:g}") from None
     return SampleSizeResult(n=n, raw=None)

@@ -16,7 +16,6 @@ uses the chi-square law of ``nu * W**2`` and holds at any ``nu``;
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,21 +24,23 @@ import numpy as np
 from scipy.special import stdtr
 
 from .errors import DomainError, InfeasibleError
-from .core import design_degrees_of_freedom, symmetric_coverage_quantile
+from .core import (
+    MethodChoice,
+    _as_method,
+    ratio_cdf,
+    ratio_quantile,
+    symmetric_coverage_quantile,
+)
 from .numerics import (
     check_degrees_of_freedom,
     check_probability,
-    chisq_cdf,
     chisq_log_pdf,
-    chisq_quantile,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
 )
 
 __all__ = [
-    "MethodChoice",
-    "SpecificityQuery",
     "SampleSizeResult",
     "effective_specificity_given_ratio",
     "effective_specificity_pdf",
@@ -49,59 +50,10 @@ __all__ = [
     "sample_size_specificity",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-
-class MethodChoice(enum.Enum):
-    """Distributional treatment of the estimation-error ratio ``W``.
-
-    ``EXACT`` uses the chi-square law of ``nu * W**2``; ``ASYMPTOTIC`` uses
-    the normal limit ``W ~ N(1, 1/(2 nu))``.
-    """
-
-    EXACT = "exact"
-    ASYMPTOTIC = "asymptotic"
-
-
-def _as_method(method) -> MethodChoice:
-    if isinstance(method, MethodChoice):
-        return method
-    try:
-        return MethodChoice(method)
-    except ValueError:
-        raise DomainError(
-            f"method must be MethodChoice or one of "
-            f"{[m.value for m in MethodChoice]}, got {method!r}") from None
-
-
-@dataclass(frozen=True)
-class SpecificityQuery:
-    """Inputs of a confidence question about the effective specificity.
-
-    Asks: with ``nu`` pooled degrees of freedom and target specificity
-    ``p_sp``, how sure can we be that the realized specificity stays at or
-    above ``p_esp_lb``?  ``p_conf`` carries the answer's required level in
-    sample-size use.
-    """
-
-    p_sp: float
-    p_esp_lb: float
-    p_conf: float
-    nu: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_sp", check_probability(self.p_sp, "p_sp"))
-        object.__setattr__(self, "p_esp_lb", check_probability(self.p_esp_lb, "p_esp_lb"))
-        object.__setattr__(self, "p_conf", check_probability(self.p_conf, "p_conf"))
-        object.__setattr__(self, "nu", check_degrees_of_freedom(self.nu))
-
-    @classmethod
-    def from_design(cls, n_subjects: int, replicates: int, p_sp: float,
-                    p_esp_lb: float, p_conf: float) -> "SpecificityQuery":
-        """Build a query from a balanced design of ``n`` subjects x ``m`` replicates."""
-        return cls(p_sp=p_sp, p_esp_lb=p_esp_lb, p_conf=p_conf,
-                   nu=design_degrees_of_freedom(n_subjects, replicates))
+# Largest subject count the exact sample-size searches try.
+MAX_SUBJECTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -192,22 +144,17 @@ def expected_effective_specificity(nu: int, p_sp: float = 0.95,
     return 2.0 * mean_phi - 1.0
 
 
-def specificity_confidence(query: SpecificityQuery,
+def specificity_confidence(nu: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
                            method: MethodChoice = MethodChoice.EXACT) -> float:
-    """Probability that the effective specificity reaches the queried bound.
+    """Probability that the effective specificity reaches ``p_esp_lb``.
 
-    ``P[P_esp >= p_esp_lb] = P[W >= z_lb / z]``: the chi-square upper tail
-    at ``nu (z_lb/z)^2`` exactly, or the matching normal tail
-    ``1 - Phi((z_lb/z - 1) sqrt(2 nu))`` asymptotically.  Defined for any
-    bound; values sink below 1/2 once the bound passes ``p_sp``.
+    ``P[P_esp >= p_esp_lb] = P[W >= z_lb / z]``, one minus :func:`ratio_cdf`
+    there.  Defined for any bound; values sink below 1/2 once the bound
+    passes ``p_sp``.
     """
-    method = _as_method(method)
-    z = symmetric_coverage_quantile(query.p_sp)
-    z_lb = symmetric_coverage_quantile(query.p_esp_lb)
-    ratio = z_lb / z
-    if method is MethodChoice.EXACT:
-        return 1.0 - chisq_cdf(query.nu * ratio * ratio, query.nu)
-    return 1.0 - normal_cdf((ratio - 1.0) * math.sqrt(2.0 * query.nu))
+    z = symmetric_coverage_quantile(check_probability(p_sp, "p_sp"))
+    z_lb = symmetric_coverage_quantile(check_probability(p_esp_lb, "p_esp_lb"))
+    return 1.0 - ratio_cdf(z_lb / z, nu, method)
 
 
 def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
@@ -218,33 +165,22 @@ def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
     specificity at the lower ``1 - p_conf`` quantile of ``W``.  Inverse of
     :func:`specificity_confidence` in the bound argument.
     """
-    nu = check_degrees_of_freedom(nu)
     p_conf = check_probability(p_conf, "p_conf")
     z = symmetric_coverage_quantile(p_sp)
-    method = _as_method(method)
-    if method is MethodChoice.EXACT:
-        w_q = math.sqrt(chisq_quantile(1.0 - p_conf, nu) / nu)
-    else:
-        w_q = 1.0 + normal_quantile(1.0 - p_conf) / math.sqrt(2.0 * nu)
-        if w_q <= 0.0:
-            raise DomainError(
-                f"normal approximation places the {1.0 - p_conf:g} ratio "
-                f"quantile at w={w_q:.4g} <= 0 for nu={nu}; use the exact method")
-    return _p_esp_raw(z * w_q)
+    return _p_esp_raw(z * ratio_quantile(1.0 - p_conf, nu, method))
 
 
 def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
                             p_conf: float = 0.95,
-                            method: MethodChoice = MethodChoice.EXACT,
-                            max_n: int = 10_000_000) -> SampleSizeResult:
+                            method: MethodChoice = MethodChoice.EXACT) -> SampleSizeResult:
     """Minimal subjects ``n`` (at ``m`` replicates each) for a specificity floor.
 
     Smallest ``n`` such that, with ``nu = n (m - 1)`` degrees of freedom,
     the effective specificity stays at or above ``p_esp_lb`` with
     probability at least ``p_conf``.  The asymptotic method returns the
     closed-form real solution (also in ``raw``) rounded up; the exact method
-    searches the chi-square-form confidence for the smallest qualifying
-    integer, seeded by the asymptotic value.
+    searches the chi-square tail at the fixed ratio ``z_lb / z`` for the
+    smallest qualifying integer, seeded by the asymptotic value.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise DomainError(f"replicates per subject m must be an integer >= 2, got {m!r}")
@@ -267,16 +203,13 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     if method is MethodChoice.ASYMPTOTIC:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    def enough(n: int) -> bool:
-        q = SpecificityQuery(p_sp=p_sp, p_esp_lb=p_esp_lb, p_conf=p_conf,
-                             nu=n * (m - 1))
-        return specificity_confidence(q, MethodChoice.EXACT) >= p_conf
-
-    hint = min(max(1, math.ceil(raw)), max_n)
+    ratio = z_lb / z
     try:
-        n = min_integer_satisfying(enough, start_hint=hint, max_n=max_n)
+        n = min_integer_satisfying(
+            lambda n: 1.0 - ratio_cdf(ratio, n * (m - 1)) >= p_conf,
+            start_hint=min(max(1, math.ceil(raw)), MAX_SUBJECTS), max_n=MAX_SUBJECTS)
     except InfeasibleError:
         raise InfeasibleError(
-            f"no sample size up to {max_n} reaches confidence {p_conf} for "
+            f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
             f"floor {p_esp_lb} at target {p_sp}") from None
     return SampleSizeResult(n=n, raw=None)

@@ -32,7 +32,6 @@ from repeatkit.sensitivity import (
 )
 from repeatkit.specificity import (
     MethodChoice,
-    SpecificityQuery,
     effective_specificity_given_ratio,
     expected_effective_specificity,
     sample_size_specificity,
@@ -167,8 +166,7 @@ def test_criterion_04_small_design_floors(acceptance_report):
 
 
 def test_criterion_05_shortfall_probability(acceptance_report):
-    q = SpecificityQuery(p_sp=0.95, p_esp_lb=0.94, p_conf=0.95, nu=35)
-    below = 1.0 - specificity_confidence(q, MethodChoice.EXACT)
+    below = 1.0 - specificity_confidence(35, 0.95, 0.94, MethodChoice.EXACT)
     ok = abs(below - 0.3974) <= 5e-4
     acceptance_report(
         5, "P[effective specificity < 0.94] at nu=35 ~0.3974", ok)
@@ -243,8 +241,7 @@ def test_criterion_09_inverse_consistency(acceptance_report):
         lb = specificity_lower_bound(nu, p_sp, conf, MethodChoice.EXACT)
         if not 0.0 < lb < 1.0:
             continue
-        q = SpecificityQuery(p_sp=p_sp, p_esp_lb=lb, p_conf=conf, nu=nu)
-        back = specificity_confidence(q, MethodChoice.EXACT)
+        back = specificity_confidence(nu, p_sp, lb, MethodChoice.EXACT)
         ok = ok and abs(back - conf) <= 1e-9
     for _ in range(60):
         nu = int(rng.integers(50, 5000))

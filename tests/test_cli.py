@@ -183,6 +183,24 @@ class TestSampleSizeSens:
         assert "use the exact method" in payload["warnings"][0]
 
 
+@pytest.mark.parametrize("argv", [
+    # nu * u^2 overflows; the exact confidence is then 1
+    ("samplesize-sens", "--delta", "1e155", "--ese-lb", "0.9"),
+    # the coverage quantile's argument rounds to 0.5 ...
+    ("retro", "--nu", "5", "--psp", "1e-17", "--bound", "0.5"),
+    ("samplesize-spec", "--esp-lb", "1e-300", "--psp", "1e-200"),
+    ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75", "--psp", "1e-300"),
+    # ... or to 1
+    ("samplesize-spec", "--esp-lb", "0.5", "--psp", "0.9999999999999999"),
+])
+def test_extreme_inputs_answer(capsys, argv):
+    payload = run_json(capsys, *argv)
+    for r in payload["results"]:
+        assert math.isfinite(r["value"]), r
+    if argv[0] != "retro":
+        assert one(payload, "sample_size", "exact") >= 1
+
+
 class TestRetro:
     def test_reference_assessment(self, capsys):
         payload = run_json(capsys, "retro", "--n", "35", "--bound", "0.94",
@@ -333,6 +351,15 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--csv", str(path))
         assert code == EXIT_DATA
         assert f"{path}:8: replicate_index 'x' is not an integer" in err
+
+    def test_multiline_field_keeps_line_numbers(self, capsys, tmp_path):
+        # each quoted id spans two lines, so the bad row sits on line 6
+        path = tmp_path / "ml.csv"
+        path.write_text('subject_id,replicate_index,value\n'
+                        '"A\nB",1,2\n"A\nB",2,3\nC,x,4\n')
+        code, _, err = run(capsys, "estimate", "--csv", str(path))
+        assert code == EXIT_DATA
+        assert f"{path}:6: replicate_index 'x' is not an integer" in err
 
     def test_quoted_fields(self, capsys, tmp_path):
         path = tmp_path / "quoted.csv"

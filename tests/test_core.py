@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from repeatkit.core import (
     LongitudinalPair,
+    MethodChoice,
     RepeatabilityCoefficient,
     WsdEstimate,
     decide_change,
     design_degrees_of_freedom,
     estimate_wsd,
+    ratio_cdf,
     ratio_density_exact,
+    ratio_quantile,
     repeatability_coefficient,
     symmetric_coverage_quantile,
 )
@@ -42,6 +46,19 @@ class TestSymmetricCoverageQuantile:
     def test_rejects_boundary(self, p):
         with pytest.raises(DomainError):
             symmetric_coverage_quantile(p)
+
+    @pytest.mark.parametrize("p", [1e-17, 1e-200, 5e-324])
+    def test_tiny_coverage_stays_positive(self, p):
+        # 1 - (1 - p)/2 rounds to 0.5 here; z = sqrt(2) erfinv(p) ~ p sqrt(pi/2)
+        z = symmetric_coverage_quantile(p)
+        assert z > 0.0
+        assert z == pytest.approx(math.sqrt(2.0) * special.erfinv(p), rel=1e-15)
+
+    def test_coverage_next_to_one_stays_finite(self):
+        # 1 - (1 - p)/2 rounds to 1 here
+        p = 0.9999999999999999
+        assert symmetric_coverage_quantile(p) == pytest.approx(
+            stats.norm.isf((1.0 - p) / 2.0), rel=1e-14)
 
     @given(st.floats(min_value=0.01, max_value=0.999))
     @settings(max_examples=100, deadline=None)
@@ -231,3 +248,63 @@ class TestRatioDensities:
             ratio_density_exact(0.0, 10)
         with pytest.raises(DomainError):
             ratio_density_exact(-0.5, 10)
+
+
+NUS = [1, 2, 10, 139, 10**6]
+PROBES = [0.01, 0.5, 0.99]
+
+
+class TestRatioLaw:
+    @pytest.mark.parametrize("nu", NUS)
+    def test_exact_matches_chi_square(self, nu):
+        for q in PROBES:
+            w = math.sqrt(stats.chi2.ppf(q, nu) / nu)
+            assert ratio_cdf(w, nu, MethodChoice.EXACT) == pytest.approx(
+                stats.chi2.cdf(nu * w * w, nu), rel=1e-12)
+            assert ratio_quantile(q, nu, MethodChoice.EXACT) == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_asymptotic_matches_normal(self, nu):
+        scale = 1.0 / math.sqrt(2.0 * nu)
+        for q in PROBES:
+            w = stats.norm.ppf(q, loc=1.0, scale=scale)
+            if w <= 0.0:
+                with pytest.raises(DomainError, match="use the exact method"):
+                    ratio_quantile(q, nu, MethodChoice.ASYMPTOTIC)
+                continue
+            assert ratio_cdf(w, nu, MethodChoice.ASYMPTOTIC) == pytest.approx(
+                stats.norm.cdf(w, loc=1.0, scale=scale), rel=1e-12)
+            assert ratio_quantile(q, nu, MethodChoice.ASYMPTOTIC) == pytest.approx(
+                w, rel=1e-12)
+
+    @pytest.mark.parametrize("method", list(MethodChoice))
+    @pytest.mark.parametrize("nu", NUS)
+    def test_cdf_and_quantile_invert_each_other(self, nu, method):
+        for q in PROBES:
+            try:
+                w = ratio_quantile(q, nu, method)
+            except DomainError:
+                continue  # asymptotic quantile below 0 at small nu
+            assert ratio_cdf(w, nu, method) == pytest.approx(q, rel=1e-9)
+        for k in (-1.0, 0.0, 1.5):
+            w = 1.0 + k / math.sqrt(2.0 * nu)
+            assert ratio_quantile(ratio_cdf(w, nu, method), nu, method) == \
+                pytest.approx(w, rel=1e-9)
+
+    def test_overflowing_square_is_certain(self):
+        assert ratio_cdf(1e300, 5, MethodChoice.EXACT) == 1.0
+
+    def test_accepts_method_names(self):
+        assert ratio_cdf(1.1, 10, "asymptotic") == ratio_cdf(
+            1.1, 10, MethodChoice.ASYMPTOTIC)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
+    def test_cdf_rejects_bad_ratio(self, w):
+        with pytest.raises(DomainError):
+            ratio_cdf(w, 10)
+
+    def test_rejects_bad_method_and_nu(self):
+        with pytest.raises(DomainError):
+            ratio_cdf(1.0, 10, "bogus")
+        with pytest.raises(DomainError):
+            ratio_quantile(0.5, 0)

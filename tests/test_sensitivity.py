@@ -4,6 +4,7 @@ Frozen reference numbers come from mpmath (50 digits) and scipy oracles,
 cross-checked before pinning.
 """
 
+import importlib
 import math
 
 import pytest
@@ -14,7 +15,6 @@ from repeatkit.errors import DomainError, InfeasibleError
 from repeatkit.sensitivity import (
     EffectSize,
     SensitivityApproximation,
-    SensitivityQuery,
     effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
     sample_size_sensitivity,
@@ -32,6 +32,8 @@ from repeatkit.specificity import (
 Z_95 = 1.9599639845400536
 ONE_SIDED = SensitivityApproximation.ONE_SIDED_EXCEEDANCE
 TWO_SIDED = SensitivityApproximation.FULL_TWO_SIDED
+# the package's ``sensitivity`` attribute is the function of that name
+sensitivity_module = importlib.import_module("repeatkit.sensitivity")
 
 
 class TestEffectSize:
@@ -172,16 +174,14 @@ class TestExpectedEffectiveSensitivity:
 
 class TestSensitivityConfidence:
     def test_frozen_exact_value(self):
-        q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=0.75, p_conf=0.95,
-                             nu=139, approximation=ONE_SIDED)
-        assert sensitivity_confidence(q, MethodChoice.EXACT) == pytest.approx(
-            0.9519365560737201, abs=1e-13)
+        got = sensitivity_confidence(139, 4.0, 0.95, 0.75, MethodChoice.EXACT,
+                                     ONE_SIDED)
+        assert got == pytest.approx(0.9519365560737201, abs=1e-13)
 
     def test_frozen_asymptotic_values(self):
         for nu, want in ((137, 0.949310963825783), (138, 0.9499301913563445)):
-            q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=0.75,
-                                 p_conf=0.95, nu=nu, approximation=ONE_SIDED)
-            got = sensitivity_confidence(q, MethodChoice.ASYMPTOTIC)
+            got = sensitivity_confidence(nu, 4.0, 0.95, 0.75,
+                                         MethodChoice.ASYMPTOTIC, ONE_SIDED)
             assert got == pytest.approx(want, abs=1e-13)
 
     def test_exact_against_scipy(self):
@@ -189,31 +189,27 @@ class TestSensitivityConfidence:
         u = (stats.norm.ppf(1 - 0.75) + d) / Z_95
         for nu in (54, 139):
             want = stats.chi2.cdf(nu * u * u, nu)
-            q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=0.75,
-                                 p_conf=0.95, nu=nu, approximation=ONE_SIDED)
-            got = sensitivity_confidence(q, MethodChoice.EXACT)
+            got = sensitivity_confidence(nu, 4.0, 0.95, 0.75,
+                                         MethodChoice.EXACT, ONE_SIDED)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_two_sided_roundtrip(self):
         nu = 139
         lb = sensitivity_lower_bound(nu, 4.0, 0.95, 0.95, MethodChoice.EXACT,
                                      TWO_SIDED)
-        q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=lb, p_conf=0.95,
-                             nu=nu, approximation=TWO_SIDED)
-        back = sensitivity_confidence(q, MethodChoice.EXACT)
+        back = sensitivity_confidence(nu, 4.0, 0.95, lb, MethodChoice.EXACT,
+                                      TWO_SIDED)
         assert back == pytest.approx(0.95, abs=1e-9)
 
     def test_one_sided_zero_effect_rejected(self):
-        q = SensitivityQuery(p_sp=0.95, delta=0.0, p_ese_lb=0.04, p_conf=0.95,
-                             nu=139, approximation=ONE_SIDED)
         with pytest.raises(DomainError):
-            sensitivity_confidence(q, MethodChoice.EXACT)
+            sensitivity_confidence(139, 0.0, 0.95, 0.04, MethodChoice.EXACT,
+                                   ONE_SIDED)
 
     def test_unattainable_floor_rejected(self):
-        q = SensitivityQuery(p_sp=0.95, delta=1.0, p_ese_lb=0.9, p_conf=0.95,
-                             nu=139, approximation=ONE_SIDED)
         with pytest.raises(InfeasibleError, match="0.9"):
-            sensitivity_confidence(q, MethodChoice.EXACT)
+            sensitivity_confidence(139, 1.0, 0.95, 0.9, MethodChoice.EXACT,
+                                   ONE_SIDED)
 
 
 class TestSensitivityLowerBound:
@@ -234,9 +230,8 @@ class TestSensitivityLowerBound:
             for conf in (0.8, 0.95):
                 lb = sensitivity_lower_bound(nu, 4.0, 0.95, conf,
                                              MethodChoice.EXACT)
-                q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=lb,
-                                     p_conf=conf, nu=nu, approximation=ONE_SIDED)
-                back = sensitivity_confidence(q, MethodChoice.EXACT)
+                back = sensitivity_confidence(nu, 4.0, 0.95, lb,
+                                              MethodChoice.EXACT, ONE_SIDED)
                 assert back == pytest.approx(conf, abs=1e-9)
 
     def test_approaches_sensitivity_at_root_nu_rate(self):
@@ -264,18 +259,17 @@ class TestSensitivityLowerBound:
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_property(self, nu, delta, conf):
         lb = sensitivity_lower_bound(nu, delta, 0.95, conf, MethodChoice.EXACT)
-        q = SensitivityQuery(p_sp=0.95, delta=delta, p_ese_lb=lb, p_conf=conf,
-                             nu=nu, approximation=ONE_SIDED)
         # at conf <= 0.5 the ratio quantile can drop below 1, putting the
         # floor at or above the one-sided perfect-estimate sensitivity
         # 1 - Phi(z - d); the confidence question must then be rejected
         attainable = effective_sensitivity_given_ratio(1.0, delta, 0.95, ONE_SIDED)
         if lb >= attainable:
             with pytest.raises(InfeasibleError):
-                sensitivity_confidence(q, MethodChoice.EXACT)
+                sensitivity_confidence(nu, delta, 0.95, lb, MethodChoice.EXACT,
+                                       ONE_SIDED)
             return
-        assert sensitivity_confidence(q, MethodChoice.EXACT) == pytest.approx(
-            conf, abs=1e-9)
+        assert sensitivity_confidence(nu, delta, 0.95, lb, MethodChoice.EXACT,
+                                      ONE_SIDED) == pytest.approx(conf, abs=1e-9)
 
 
 class TestSampleSizeSensitivity:
@@ -293,9 +287,8 @@ class TestSampleSizeSensitivity:
                                       MethodChoice.EXACT)
 
         def conf_at(n):
-            q = SensitivityQuery(p_sp=0.95, delta=4.0, p_ese_lb=0.75,
-                                 p_conf=0.95, nu=n, approximation=ONE_SIDED)
-            return sensitivity_confidence(q, MethodChoice.EXACT)
+            return sensitivity_confidence(n, 4.0, 0.95, 0.75, MethodChoice.EXACT,
+                                          ONE_SIDED)
 
         assert conf_at(res.n) >= 0.95
         assert conf_at(res.n - 1) < 0.95
@@ -318,6 +311,17 @@ class TestSampleSizeSensitivity:
         two = sample_size_sensitivity(2, 4.0, 0.95, 0.75, 0.95,
                                       MethodChoice.EXACT, TWO_SIDED)
         assert two.n == 136
+
+    def test_two_sided_search_inverts_once(self, monkeypatch):
+        # the ratio cap is found before the search, not at every step
+        calls = []
+        invert = sensitivity_module._invert_two_sided
+        monkeypatch.setattr(sensitivity_module, "_invert_two_sided",
+                            lambda *a: calls.append(a) or invert(*a))
+        res = sample_size_sensitivity(2, 4.0, 0.95, 0.80, 0.95,
+                                      MethodChoice.EXACT, TWO_SIDED)
+        assert res.n > 1000
+        assert len(calls) == 1
 
     def test_replicates_reduce_subjects(self):
         n_m3 = sample_size_sensitivity(3, 4.0, 0.95, 0.75, 0.95,

@@ -17,7 +17,6 @@ from repeatkit.numerics import QuadratureSpec, integrate, normal_quantile
 from repeatkit.specificity import (
     MethodChoice,
     SampleSizeResult,
-    SpecificityQuery,
     effective_specificity_given_ratio,
     effective_specificity_pdf,
     expected_effective_specificity,
@@ -81,8 +80,7 @@ class TestEffectiveSpecificityPdf:
         h = 1e-6
 
         def cdf(x):
-            q = SpecificityQuery(p_sp=p_sp, p_esp_lb=x, p_conf=0.5, nu=nu)
-            return 1.0 - specificity_confidence(q, MethodChoice.EXACT)
+            return 1.0 - specificity_confidence(nu, p_sp, x, MethodChoice.EXACT)
 
         deriv = (cdf(p + h) - cdf(p - h)) / (2 * h)
         assert effective_specificity_pdf(p, nu, p_sp) == pytest.approx(
@@ -153,14 +151,11 @@ class TestExpectedEffectiveSpecificity:
 
 class TestSpecificityConfidence:
     def test_frozen_values(self):
-        q = SpecificityQuery(p_sp=0.95, p_esp_lb=0.94, p_conf=0.95, nu=35)
-        assert specificity_confidence(q, MethodChoice.EXACT) == pytest.approx(
+        assert specificity_confidence(35, 0.95, 0.94, MethodChoice.EXACT) == pytest.approx(
             0.6025577594458758, abs=1e-14)
-        q53 = SpecificityQuery(p_sp=0.95, p_esp_lb=0.90, p_conf=0.95, nu=53)
-        q54 = SpecificityQuery(p_sp=0.95, p_esp_lb=0.90, p_conf=0.95, nu=54)
-        assert specificity_confidence(q53, MethodChoice.EXACT) == pytest.approx(
+        assert specificity_confidence(53, 0.95, 0.90, MethodChoice.EXACT) == pytest.approx(
             0.9493357634687956, abs=1e-13)
-        assert specificity_confidence(q54, MethodChoice.EXACT) == pytest.approx(
+        assert specificity_confidence(54, 0.95, 0.90, MethodChoice.EXACT) == pytest.approx(
             0.9510455635383812, abs=1e-13)
 
     def test_exact_against_scipy(self):
@@ -168,22 +163,25 @@ class TestSpecificityConfidence:
         ratio = z_lb / Z_95
         for nu in (10, 54, 300):
             want = stats.chi2.sf(nu * ratio * ratio, nu)
-            q = SpecificityQuery(p_sp=0.95, p_esp_lb=0.92, p_conf=0.95, nu=nu)
-            assert specificity_confidence(q, MethodChoice.EXACT) == pytest.approx(
+            assert specificity_confidence(nu, 0.95, 0.92, MethodChoice.EXACT) == pytest.approx(
                 want, rel=1e-12)
 
     def test_asymptotic_half_at_target_bound(self):
         # bound equal to the target makes the centered normal tail exactly 1/2
         for nu in (5, 54, 1000):
-            q = SpecificityQuery(p_sp=0.95, p_esp_lb=0.95, p_conf=0.95, nu=nu)
-            assert specificity_confidence(q, MethodChoice.ASYMPTOTIC) == 0.5
+            assert specificity_confidence(nu, 0.95, 0.95, MethodChoice.ASYMPTOTIC) == 0.5
 
     def test_decreasing_in_bound(self):
         confs = []
         for lb in (0.80, 0.90, 0.94, 0.9499):
-            q = SpecificityQuery(p_sp=0.95, p_esp_lb=lb, p_conf=0.95, nu=35)
-            confs.append(specificity_confidence(q, MethodChoice.EXACT))
+            confs.append(specificity_confidence(35, 0.95, lb, MethodChoice.EXACT))
         assert confs == sorted(confs, reverse=True)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            specificity_confidence(10, p_sp=1.5, p_esp_lb=0.9)
+        with pytest.raises(DomainError):
+            specificity_confidence(0, p_sp=0.95, p_esp_lb=0.9)
 
 
 class TestSpecificityLowerBound:
@@ -211,8 +209,7 @@ class TestSpecificityLowerBound:
         for nu in (3, 35, 139, 5000):
             for conf in (0.6, 0.9, 0.95, 0.99):
                 lb = specificity_lower_bound(nu, 0.95, conf, MethodChoice.EXACT)
-                q = SpecificityQuery(p_sp=0.95, p_esp_lb=lb, p_conf=conf, nu=nu)
-                back = specificity_confidence(q, MethodChoice.EXACT)
+                back = specificity_confidence(nu, 0.95, lb, MethodChoice.EXACT)
                 assert back == pytest.approx(conf, abs=1e-9)
 
     def test_exact_close_to_asymptotic_for_large_nu(self):
@@ -232,8 +229,7 @@ class TestSpecificityLowerBound:
     @settings(max_examples=120, deadline=None)
     def test_roundtrip_property(self, nu, p_sp, conf):
         lb = specificity_lower_bound(nu, p_sp, conf, MethodChoice.EXACT)
-        q = SpecificityQuery(p_sp=p_sp, p_esp_lb=lb, p_conf=conf, nu=nu)
-        assert specificity_confidence(q, MethodChoice.EXACT) == pytest.approx(
+        assert specificity_confidence(nu, p_sp, lb, MethodChoice.EXACT) == pytest.approx(
             conf, abs=1e-9)
 
 
@@ -266,8 +262,7 @@ class TestSampleSizeSpecificity:
         res = sample_size_specificity(2, 0.95, 0.90, 0.95, MethodChoice.EXACT)
 
         def conf_at(n):
-            q = SpecificityQuery(p_sp=0.95, p_esp_lb=0.90, p_conf=0.95, nu=n)
-            return specificity_confidence(q, MethodChoice.EXACT)
+            return specificity_confidence(n, 0.95, 0.90, MethodChoice.EXACT)
 
         assert conf_at(res.n) >= 0.95
         assert conf_at(res.n - 1) < 0.95
@@ -294,9 +289,7 @@ class TestSampleSizeSpecificity:
         res = sample_size_specificity(m, p_sp, lb, conf, MethodChoice.EXACT)
 
         def conf_at(n):
-            q = SpecificityQuery(p_sp=p_sp, p_esp_lb=lb, p_conf=conf,
-                                 nu=n * (m - 1))
-            return specificity_confidence(q, MethodChoice.EXACT)
+            return specificity_confidence(n * (m - 1), p_sp, lb, MethodChoice.EXACT)
 
         assert conf_at(res.n) >= conf
         if res.n > 1:
@@ -309,15 +302,3 @@ class TestSampleSizeSpecificity:
         assert n2 == 54 and n3 == 27
         assert n2 * 1 == n3 * 2
 
-
-class TestSpecificityQuery:
-    def test_from_design(self):
-        q = SpecificityQuery.from_design(54, 2, p_sp=0.95, p_esp_lb=0.90,
-                                         p_conf=0.95)
-        assert q.nu == 54
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SpecificityQuery(p_sp=1.5, p_esp_lb=0.9, p_conf=0.95, nu=10)
-        with pytest.raises(DomainError):
-            SpecificityQuery(p_sp=0.95, p_esp_lb=0.9, p_conf=0.95, nu=0)
