@@ -10,7 +10,6 @@ A Monte Carlo simulator cross-checks every analytic result.
 """
 
 from .errors import (
-    ConvergenceError,
     DataValidationError,
     DomainError,
     InfeasibleError,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "RepeatkitError",
     "DomainError",
-    "ConvergenceError",
     "InfeasibleError",
     "DataValidationError",
     "TestRetestData",

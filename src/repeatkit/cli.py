@@ -104,8 +104,10 @@ class ReportEnvelope:
         self.results.append(
             {"name": name, "value": value, "method": method, "units": units})
 
-    def extend_warnings(self, caught):
-        self.warnings.extend(str(w.message) for w in caught)
+    def take_warnings(self, caught):
+        """Put the captured warnings first, then those the command added; each once."""
+        messages = [str(w.message) for w in caught] + self.warnings
+        self.warnings = list(dict.fromkeys(messages))
 
     def to_payload(self) -> dict:
         def clean(v):
@@ -284,15 +286,12 @@ def cmd_samplesize_spec(args) -> ReportEnvelope:
         command="samplesize-spec",
         inputs={"m": args.m, "psp": args.psp, "esp_lb": args.esp_lb, "conf": args.conf},
         method=("exact", "asymptotic"))
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        asym = sample_size_specificity(args.m, args.psp, args.esp_lb, args.conf,
-                                       MethodChoice.ASYMPTOTIC)
-        exact = sample_size_specificity(args.m, args.psp, args.esp_lb, args.conf,
-                                        MethodChoice.EXACT)
-        expected = expected_effective_specificity(
-            design_degrees_of_freedom(exact.n, args.m), args.psp, MethodChoice.EXACT)
-    env.extend_warnings(caught)
+    asym = sample_size_specificity(args.m, args.psp, args.esp_lb, args.conf,
+                                   MethodChoice.ASYMPTOTIC)
+    exact = sample_size_specificity(args.m, args.psp, args.esp_lb, args.conf,
+                                    MethodChoice.EXACT)
+    expected = expected_effective_specificity(
+        design_degrees_of_freedom(exact.n, args.m), args.psp, MethodChoice.EXACT)
     env.add("sample_size_raw", asym.raw, "asymptotic", "subjects")
     env.add("sample_size", asym.n, "asymptotic", "subjects")
     env.add("sample_size", exact.n, "exact", "subjects")
@@ -334,16 +333,13 @@ def cmd_samplesize_sens(args) -> ReportEnvelope:
         inputs={"m": args.m, "psp": args.psp, "delta": eff.signed,
                 "ese_lb": args.ese_lb, "conf": args.conf},
         method=("exact", "asymptotic"))
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        asym = sample_size_sensitivity(args.m, eff, args.psp, args.ese_lb, args.conf,
-                                       MethodChoice.ASYMPTOTIC)
-        exact = sample_size_sensitivity(args.m, eff, args.psp, args.ese_lb, args.conf,
-                                        MethodChoice.EXACT)
-        nu_at_asym = design_degrees_of_freedom(asym.n, args.m)
-        induced_exact = specificity_lower_bound(nu_at_asym, args.psp, args.conf,
-                                                MethodChoice.EXACT)
-    env.extend_warnings(caught)
+    asym = sample_size_sensitivity(args.m, eff, args.psp, args.ese_lb, args.conf,
+                                   MethodChoice.ASYMPTOTIC)
+    exact = sample_size_sensitivity(args.m, eff, args.psp, args.ese_lb, args.conf,
+                                    MethodChoice.EXACT)
+    nu_at_asym = design_degrees_of_freedom(asym.n, args.m)
+    induced_exact = specificity_lower_bound(nu_at_asym, args.psp, args.conf,
+                                            MethodChoice.EXACT)
     induced_asym = _asymptotic_specificity_bound(env, nu_at_asym, args.psp, args.conf)
     env.add("sample_size_raw", asym.raw, "asymptotic", "subjects")
     env.add("sample_size", asym.n, "asymptotic", "subjects")
@@ -547,13 +543,10 @@ def cmd_estimate(args) -> ReportEnvelope:
         inputs={"csv": source, "psp": args.psp,
                 "subjects": len(names), "measurements": values.size},
         method=("exact",))
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        est = pooled_wsd(codes, values)
-        rc = est.repeatability_coefficient(args.psp)
-        bounds = {conf: specificity_lower_bound(est.nu, args.psp, conf, MethodChoice.EXACT)
-                  for conf in (0.80, 0.90, 0.95)}
-    env.extend_warnings(caught)
+    est = pooled_wsd(codes, values)
+    rc = est.repeatability_coefficient(args.psp)
+    bounds = {conf: specificity_lower_bound(est.nu, args.psp, conf, MethodChoice.EXACT)
+              for conf in (0.80, 0.90, 0.95)}
     env.add("wsd_hat", est.wsd_hat, "exact", "biomarker units")
     env.add("degrees_of_freedom", est.nu, "exact", "count")
     env.add(f"repeatability_coefficient[psp={args.psp:g}]", rc.value,
@@ -831,7 +824,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        envelope = args.func(args)
+        with _warnings.catch_warnings(record=True) as caught:
+            _warnings.simplefilter("always")
+            envelope = args.func(args)
+        envelope.take_warnings(caught)
     except UsageError as e:
         print(f"repeatkit: usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv
+from scipy.special import erfinv, gammainccinv
 
 from .errors import DataValidationError, DomainError
 from .numerics import (
@@ -70,12 +70,16 @@ def symmetric_coverage_quantile(p: float) -> float:
     1, ``sqrt(2) erfinv(p)`` or ``-normal_quantile((1 - p)/2)`` stands in.
     """
     p = check_probability(p, "coverage probability")
-    q = 1.0 - (1.0 - p) / 2.0
-    if q == 0.5:
+    tail = (1.0 - p) / 2.0
+    if 1.0 - tail == 0.5:
         return _SQRT2 * float(erfinv(p))
-    if q == 1.0:
-        return -normal_quantile((1.0 - p) / 2.0)
-    return normal_quantile(q)
+    return _normal_quantile_above(tail)
+
+
+def _normal_quantile_above(p: float) -> float:
+    """``normal_quantile(1 - p)``, or ``-normal_quantile(p)`` where ``1 - p`` rounds to 1."""
+    q = 1.0 - p
+    return normal_quantile(q) if q < 1.0 else -normal_quantile(p)
 
 
 def design_degrees_of_freedom(n_subjects: int, replicates: int) -> int:
@@ -333,3 +337,19 @@ def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT)
             f"normal approximation places the {q:g} ratio quantile at "
             f"w={w:.4g} <= 0 for nu={nu}; use the exact method")
     return w
+
+
+def _ratio_quantile_above(p: float, nu: int,
+                          method: MethodChoice = MethodChoice.EXACT) -> float:
+    """The ``w`` with ``P[W > w] = p``: :func:`ratio_quantile` at ``1 - p``.
+
+    Where ``1 - p`` rounds to 1 the upper-tail inverses stand in:
+    ``2 gammainccinv(nu/2, p)`` for the chi-square quantile and
+    ``-normal_quantile(p)`` for the normal one.
+    """
+    if 1.0 - p < 1.0:
+        return ratio_quantile(1.0 - p, nu, method)
+    nu = check_degrees_of_freedom(nu)
+    if _as_method(method) is MethodChoice.EXACT:
+        return math.sqrt(2.0 * float(gammainccinv(0.5 * nu, p)) / nu)
+    return 1.0 - normal_quantile(p) / math.sqrt(2.0 * nu)

@@ -9,20 +9,6 @@ class DomainError(RepeatkitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(RepeatkitError, RuntimeError):
-    """An iterative routine exhausted its budget before reaching tolerance.
-
-    Carries the best available estimate and an error bound so callers can
-    decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message: str, estimate: float | None = None,
-                 error_bound: float | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class InfeasibleError(RepeatkitError, ValueError):
     """The requested target cannot be met by any admissible input."""
 

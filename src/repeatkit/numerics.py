@@ -1,46 +1,40 @@
-"""Numerical kernels: normal and chi-square distributions, quadrature, integer search.
+"""Numerical kernels: normal and chi-square distributions, integer search.
 
 Everything downstream (repeatability coefficients, effective operating
-characteristics, sample sizes) reduces to four primitives exposed here: the
-standard normal CDF/quantile pair, the chi-square CDF/quantile pair, a
-deterministic adaptive quadrature, and a monotone integer search.  The
-distribution functions validate their arguments and delegate to
-``scipy.special`` (``erfc``, ``ndtri``, ``gammainc``, ``gammaincinv``,
-``gammaln``).  They are scalar-first; ``normal_cdf`` and ``normal_quantile``
-also accept numpy arrays because the simulation code transforms large
-uniform batches through them.  The quadrature is kept as a reference that
-tests integrate against.
+characteristics, sample sizes) reduces to three primitives exposed here: the
+standard normal CDF/quantile pair, the chi-square CDF/quantile pair, and a
+monotone integer search.  The distribution functions validate their
+arguments and delegate to ``scipy.special`` (``erfc``, ``ndtri``,
+``gammainc``, ``gammaincinv``, ``gammaln``).  They are scalar-first;
+``normal_cdf`` and ``normal_quantile`` also accept numpy arrays because the
+simulation code transforms large uniform batches through them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import erfc as _erfc_arr, gammainc, gammaincinv, gammaln, ndtri, xlogy
 
-from .errors import ConvergenceError, DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError
 
 __all__ = [
-    "QuadratureSpec",
     "check_probability",
     "check_degrees_of_freedom",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "chisq_pdf",
     "chisq_log_pdf",
     "chisq_cdf",
     "chisq_quantile",
-    "integrate",
     "min_integer_satisfying",
+    "MAX_SUBJECTS",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +96,6 @@ def normal_cdf(x):
     if not math.isfinite(x):
         raise DomainError(f"normal_cdf requires finite x, got {x!r}")
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_pdf(x):
-    """Standard normal density ``φ(x)``."""
-    if isinstance(x, np.ndarray):
-        return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    x = float(x)
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def normal_quantile(p):
@@ -194,99 +180,15 @@ def chisq_quantile(p: float, nu: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for :func:`integrate`."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-
-_DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def _simpson(h: float, f0: float, f1: float, f2: float) -> float:
-    return h * (f0 + 4.0 * f1 + f2) / 6.0
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              spec: QuadratureSpec = _DEFAULT_QUADRATURE) -> float:
-    """Definite integral of ``f`` over ``[a, b]`` by adaptive Simpson quadrature.
-
-    Each accepted interval contributes its Richardson-extrapolated Simpson
-    value (exact through polynomial degree 5), with the local error estimate
-    ``|S_fine - S_coarse| / 15`` held under a budgeted share of the overall
-    tolerance ``max(abs_tol, rel_tol * |I|)``.
-
-    Raises
-    ------
-    ConvergenceError
-        If the subdivision budget runs out; the exception carries the best
-        estimate and an error bound.
-    DomainError
-        If the endpoints are not finite with ``a < b``.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integrate requires finite endpoints")
-    if a == b:
-        return 0.0
-    if a > b:
-        raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
-
-    fa, fb = float(f(a)), float(f(b))
-    mid = 0.5 * (a + b)
-    fm = float(f(mid))
-    whole = _simpson(b - a, fa, fm, fb)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
-
-    total = 0.0
-    err_bound = 0.0
-    splits = 0
-    exhausted = False
-    stack = [(a, b, fa, fm, fb, whole, tol)]
-    while stack:
-        x0, x2, f0, f1, f2, s_coarse, tol_here = stack.pop()
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = float(f(xl))
-        fr = float(f(xr))
-        s_left = _simpson(xm - x0, f0, fl, f1)
-        s_right = _simpson(x2 - xm, f1, fr, f2)
-        diff = s_left + s_right - s_coarse
-        at_resolution = xl <= x0 or xr <= xm
-        if abs(diff) <= 15.0 * tol_here or at_resolution:
-            total += s_left + s_right + diff / 15.0
-            err_bound += abs(diff) / 15.0
-        elif splits >= spec.max_subdivisions or exhausted:
-            exhausted = True
-            total += s_left + s_right + diff / 15.0
-            err_bound += abs(diff)
-        else:
-            splits += 1
-            half_tol = 0.5 * tol_here
-            stack.append((x0, xm, f0, fl, f1, s_left, half_tol))
-            stack.append((xm, x2, f1, fr, f2, s_right, half_tol))
-    if exhausted:
-        raise ConvergenceError(
-            f"integrate exceeded {spec.max_subdivisions} subdivisions on "
-            f"[{a}, {b}]", estimate=total, error_bound=err_bound)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # monotone integer search
 # ---------------------------------------------------------------------------
 
-def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1,
-                           max_n: int = 10_000_000) -> int:
-    """Smallest ``n >= 1`` with ``predicate(n)`` true, for monotone predicates.
+# Largest subject count the exact sample-size searches try.
+MAX_SUBJECTS = 10_000_000
+
+
+def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1) -> int:
+    """Smallest ``n`` in ``[1, MAX_SUBJECTS]`` with ``predicate(n)`` true, for monotone predicates.
 
     ``predicate`` must be false below some threshold and true from the
     threshold on.  Exponential bracketing around ``start_hint`` followed by
@@ -296,14 +198,12 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
     Raises
     ------
     InfeasibleError
-        If the predicate is still false at ``max_n``.
+        If the predicate is still false at ``MAX_SUBJECTS``.
     """
     if not isinstance(start_hint, (int, np.integer)) or isinstance(start_hint, bool):
         raise DomainError(f"start_hint must be a positive integer, got {start_hint!r}")
-    if not isinstance(max_n, (int, np.integer)) or isinstance(max_n, bool):
-        raise DomainError(f"max_n must be a positive integer, got {max_n!r}")
-    if start_hint < 1 or max_n < 1:
-        raise DomainError("start_hint and max_n must be >= 1")
+    if start_hint < 1:
+        raise DomainError(f"start_hint must be >= 1, got {start_hint}")
 
     cache: dict[int, bool] = {}
 
@@ -312,7 +212,7 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
             cache[n] = bool(predicate(n))
         return cache[n]
 
-    hint = min(int(start_hint), int(max_n))
+    hint = min(int(start_hint), MAX_SUBJECTS)
     if check(hint):
         # walk down for the false side of the bracket
         hi = hint
@@ -336,14 +236,14 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
         step = 1
         hi = 0
         while True:
-            cand = min(int(max_n), hint + step)
+            cand = min(MAX_SUBJECTS, hint + step)
             if check(cand):
                 hi = cand
                 break
             lo = cand
-            if cand >= max_n:
+            if cand >= MAX_SUBJECTS:
                 raise InfeasibleError(
-                    f"predicate still false at max_n={max_n}")
+                    f"predicate still false at n={MAX_SUBJECTS}")
             step *= 2
 
     while hi - lo > 1:

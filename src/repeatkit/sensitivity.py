@@ -30,18 +30,20 @@ from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_method,
+    _normal_quantile_above,
     ratio_cdf,
     ratio_quantile,
     symmetric_coverage_quantile,
 )
 from .numerics import (
+    MAX_SUBJECTS,
     check_degrees_of_freedom,
     check_probability,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
 )
-from .specificity import MAX_SUBJECTS, SampleSizeResult
+from .specificity import SampleSizeResult
 
 __all__ = [
     "EffectSize",
@@ -251,8 +253,13 @@ def _ratio_cap(p_ese_lb: float, d: float, z: float,
                approximation: SensitivityApproximation) -> float:
     # the ratio W at which the effective sensitivity equals p_ese_lb
     if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
-        return (normal_quantile(1.0 - p_ese_lb) + d) / z
+        return (_normal_quantile_above(p_ese_lb) + d) / z
     return _invert_two_sided(p_ese_lb, d, z)
+
+
+def _ratio_cdf_at_cap(u: float, nu: int, method: MethodChoice) -> float:
+    # P[W <= u]; the cap overflows to +inf when z is tiny, and then it is 1
+    return ratio_cdf(u, nu, method) if u < math.inf else 1.0
 
 
 def sensitivity_confidence(
@@ -283,7 +290,8 @@ def sensitivity_confidence(
             f"{attainable:.6f} under {approximation.value}; the lower "
             f"bound {p_ese_lb:g} must be strictly below it")
     z = symmetric_coverage_quantile(p_sp)
-    return ratio_cdf(_ratio_cap(p_ese_lb, eff.delta / _SQRT2, z, approximation), nu, method)
+    return _ratio_cdf_at_cap(_ratio_cap(p_ese_lb, eff.delta / _SQRT2, z, approximation),
+                             nu, method)
 
 
 def sensitivity_lower_bound(
@@ -302,8 +310,11 @@ def sensitivity_lower_bound(
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
         raise DomainError("sensitivity_lower_bound requires a nonzero effect size")
-    return effective_sensitivity_given_ratio(
-        ratio_quantile(p_conf, nu, method), eff, p_sp, approximation)
+    # the quantile may underflow to 0, where the band closes and every
+    # change is detected
+    z = symmetric_coverage_quantile(p_sp)
+    return _p_ese_raw(z * ratio_quantile(p_conf, nu, method), eff.delta / _SQRT2,
+                      approximation)
 
 
 def sample_size_sensitivity(
@@ -345,7 +356,7 @@ def sample_size_sensitivity(
 
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
-    denom = normal_quantile(1.0 - p_ese_lb) + d - z
+    denom = _normal_quantile_above(p_ese_lb) + d - z
     # denom > 0 is guaranteed when the one-sided feasibility check ran; a
     # two-sided query can be feasible with denom <= 0, where the closed
     # form has no solution and only serves as a (skipped) search hint.
@@ -356,10 +367,10 @@ def sample_size_sensitivity(
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
     u = _ratio_cap(p_ese_lb, d, z, approximation)
-    hint = min(max(1, math.ceil(raw)), MAX_SUBJECTS) if math.isfinite(raw) else 1
+    hint = max(1, math.ceil(raw)) if math.isfinite(raw) else 1
     try:
-        n = min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf,
-                                   start_hint=hint, max_n=MAX_SUBJECTS)
+        n = min_integer_satisfying(
+            lambda n: _ratio_cdf_at_cap(u, n * (m - 1), method) >= p_conf, start_hint=hint)
     except InfeasibleError:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "

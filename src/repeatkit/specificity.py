@@ -27,17 +27,18 @@ from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_method,
+    _normal_quantile_above,
+    _ratio_quantile_above,
     ratio_cdf,
-    ratio_quantile,
     symmetric_coverage_quantile,
 )
 from .numerics import (
+    MAX_SUBJECTS,
     check_degrees_of_freedom,
     check_probability,
     chisq_log_pdf,
     min_integer_satisfying,
     normal_cdf,
-    normal_quantile,
 )
 
 __all__ = [
@@ -51,9 +52,6 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Largest subject count the exact sample-size searches try.
-MAX_SUBJECTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,10 @@ def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
     z = symmetric_coverage_quantile(p_sp)
     y = symmetric_coverage_quantile(p)  # z * w at the preimage
     w = y / z
-    log_ratio_density = chisq_log_pdf(nu * w * w, nu) + math.log(2.0 * w * nu)
+    x = nu * w * w
+    if not math.isfinite(x):
+        return 0.0  # the chi-square density vanishes as its argument grows
+    log_ratio_density = chisq_log_pdf(x, nu) + math.log(2.0 * w * nu)
     log_slope = math.log(2.0 * z) - 0.5 * y * y - _LOG_SQRT_2PI
     return math.exp(log_ratio_density - log_slope)
 
@@ -167,7 +168,7 @@ def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
     """
     p_conf = check_probability(p_conf, "p_conf")
     z = symmetric_coverage_quantile(p_sp)
-    return _p_esp_raw(z * ratio_quantile(1.0 - p_conf, nu, method))
+    return _p_esp_raw(z * _ratio_quantile_above(p_conf, nu, method))
 
 
 def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
@@ -199,7 +200,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
 
     z = symmetric_coverage_quantile(p_sp)
     z_lb = symmetric_coverage_quantile(p_esp_lb)
-    raw = (normal_quantile(1.0 - p_conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
+    raw = (_normal_quantile_above(p_conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
     if method is MethodChoice.ASYMPTOTIC:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
@@ -207,7 +208,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     try:
         n = min_integer_satisfying(
             lambda n: 1.0 - ratio_cdf(ratio, n * (m - 1)) >= p_conf,
-            start_hint=min(max(1, math.ceil(raw)), MAX_SUBJECTS), max_n=MAX_SUBJECTS)
+            start_hint=max(1, math.ceil(raw)))
     except InfeasibleError:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "

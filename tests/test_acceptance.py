@@ -13,14 +13,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import integrate
 
 from repeatkit.cli import main
+from repeatkit.core import ratio_density_exact
 from repeatkit.mc import EmpiricalDistribution, SimulationConfig, simulate_study
 from repeatkit.numerics import (
     chisq_cdf,
-    integrate,
+    chisq_quantile,
     normal_cdf,
-    normal_pdf,
     normal_quantile,
 )
 from repeatkit.sensitivity import (
@@ -305,7 +306,12 @@ def test_criterion_11_numeric_kernels(acceptance_report):
         ok = ok and abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
     for x in (0.1, 1.0, 2.5, 7.0, 31.4):
         ok = ok and abs(chisq_cdf(x, 2) - (-math.expm1(-x / 2.0))) <= 1e-12
-    total = integrate(normal_pdf, -8.0, 8.0)
+    # the density of W at nu = 139 over the support leaving 1e-14 of
+    # chi-square mass in each tail
+    nu = 139
+    lo = math.sqrt(chisq_quantile(1e-14, nu) / nu)
+    hi = math.sqrt(chisq_quantile(1.0 - 1e-14, nu) / nu)
+    total, _ = integrate.quad(lambda w: ratio_density_exact(w, nu), lo, hi)
     ok = ok and abs(total - 1.0) <= 1e-9
     acceptance_report(
         11, "numeric kernels: quantile roundtrip 1e-12, closed-form "

@@ -4,6 +4,7 @@ Most cases drive ``main(argv)`` in-process and parse the JSON envelope; a
 couple of subprocess cases prove the installed entry points work too.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repeatkit import __version__
@@ -112,6 +114,13 @@ class TestSampleSizeSpec:
         assert one(payload, "sample_size", "exact") == 164
         assert one(payload, "sample_size", "asymptotic") == 162
 
+    def test_repeated_warning_listed_once(self, capsys):
+        # both the asymptotic and the exact solve warn about p_conf
+        payload = run_json(capsys, "samplesize-spec", "--esp-lb", "0.9",
+                           "--conf", "0.5")
+        assert len(payload["warnings"]) == 1
+        assert "p_conf=0.5" in payload["warnings"][0]
+
     def test_infeasible_exit_code(self, capsys):
         code, _, err = run(capsys, "samplesize-spec", "--esp-lb", "0.96")
         assert code == EXIT_INFEASIBLE
@@ -192,13 +201,77 @@ class TestSampleSizeSens:
     ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75", "--psp", "1e-300"),
     # ... or to 1
     ("samplesize-spec", "--esp-lb", "0.5", "--psp", "0.9999999999999999"),
+    # 1 - p rounds to 1; the upper-tail quantiles stand in
+    ("retro", "--nu", "5", "--conf", "1e-300", "--delta", "4"),
+    ("samplesize-spec", "--esp-lb", "0.9", "--conf", "1e-300"),
+    ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75", "--conf", "1e-300"),
+    ("samplesize-sens", "--delta", "4", "--ese-lb", "1e-20"),
+    ("figure-data", "--figure", "3a", "--conf", "1e-300"),
+    # the ratio cap u overflows to +inf, where P[W <= u] = 1
+    ("samplesize-sens", "--delta", "1e10", "--psp", "1e-300", "--ese-lb", "0.5"),
+    # nu * w^2 overflows in the density, which vanishes there
+    ("figure-data", "--figure", "1", "--psp", "1e-300"),
 ])
-def test_extreme_inputs_answer(capsys, argv):
+def test_extreme_inputs_answer(capsys, tmp_path, argv):
+    if argv[0] == "figure-data":
+        argv = argv + ("--out", str(tmp_path))
     payload = run_json(capsys, *argv)
     for r in payload["results"]:
-        assert math.isfinite(r["value"]), r
-    if argv[0] != "retro":
+        if r["units"] != "path":
+            assert math.isfinite(r["value"]), r
+    if argv[0].startswith("samplesize"):
         assert one(payload, "sample_size", "exact") >= 1
+    for path in values(payload, "file"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+# Valid inputs by construction: probabilities from 1e-300 to the largest
+# double below 1, effect sizes of either sign from 1e-300 to 1e300, and
+# replicate and degree-of-freedom counts up to 1e9.  Flags are passed as
+# --flag=value so argparse reads a negative value as a value.
+_PROB = st.floats(min_value=1e-300, max_value=1.0 - 2.0**-53)
+_DELTA = st.builds(lambda mag, neg: -mag if neg else mag,
+                   st.floats(min_value=1e-300, max_value=1e300), st.booleans())
+_M = st.integers(min_value=2, max_value=10**9)
+_NU = st.integers(min_value=1, max_value=10**9)
+
+
+def _flag_list(values_):
+    return ",".join(repr(v) for v in values_)
+
+
+_CONTRACT_ARGV = st.one_of(
+    st.builds(lambda m, psp, lb, conf: [
+        "samplesize-spec", f"--m={m}", f"--psp={psp!r}", f"--esp-lb={lb!r}",
+        f"--conf={conf!r}"], _M, _PROB, _PROB, _PROB),
+    st.builds(lambda m, psp, delta, lb, conf: [
+        "samplesize-sens", f"--m={m}", f"--psp={psp!r}", f"--delta={delta!r}",
+        f"--ese-lb={lb!r}", f"--conf={conf!r}"], _M, _PROB, _DELTA, _PROB, _PROB),
+    st.builds(lambda nu, psp, conf, bounds, deltas: [
+        "retro", f"--nu={nu}", f"--psp={psp!r}", f"--conf={conf!r}",
+        f"--bound={_flag_list(bounds)}", f"--delta={_flag_list(deltas)}"],
+        _NU, _PROB, _PROB, st.lists(_PROB, min_size=1, max_size=3),
+        st.lists(_DELTA, min_size=1, max_size=3)),
+    st.builds(lambda figure, psp, conf, delta, n: [
+        "figure-data", f"--figure={figure}", f"--psp={psp!r}", f"--conf={conf!r}",
+        f"--delta={delta!r}", f"--n={n}"],
+        st.sampled_from(["1", "2", "3a", "4a", "4b"]), _PROB, _PROB, _DELTA, _NU),
+)
+
+
+@given(argv=_CONTRACT_ARGV)
+@settings(max_examples=300, deadline=None, database=None)
+def test_valid_designs_answer_or_are_infeasible(tmp_path_factory, argv):
+    # every valid design gets a report (exit 0) or is infeasible (exit 2);
+    # no exception escapes and no input is reported as a usage error
+    if argv[0] == "figure-data":
+        argv = argv + [f"--out={tmp_path_factory.mktemp('fig')}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format=json"])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE), (argv, err.getvalue())
 
 
 class TestRetro:
@@ -416,6 +489,15 @@ class TestTables:
         assert rows[0] == ["m", "p_conf", "p_esp_lb", "psp_0.950"]
         assert rows[1] == ["2", "0.950", "0.900", "54"]
 
+    def test_warning_goes_to_envelope_once(self, capsys, tmp_path):
+        code, out, err = run(capsys, "tables", "--conf-list", "0.5", "--m-list", "2",
+                             "--out", str(tmp_path), "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        warnings = json.loads(out)["warnings"]
+        assert len(warnings) == 1
+        assert "p_conf=0.5 is at or below 0.5" in warnings[0]
+
     def test_unwritable_output_exits_73(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory\n")
@@ -527,6 +609,16 @@ class TestSimulate:
         threaded = capsys.readouterr().out
         assert code == EXIT_OK
         assert serial == threaded
+
+    def test_thread_setting_warning_goes_to_envelope(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPEATKIT_THREADS", "x")
+        code, out, err = run(capsys, "simulate", "--n", "10", "--replicates", "1000",
+                             "--format", "json")
+        assert code == EXIT_OK
+        assert err == ""
+        warnings = json.loads(out)["warnings"]
+        assert len(warnings) == 1
+        assert "REPEATKIT_THREADS='x'" in warnings[0]
 
     def test_distribution_summary_rows(self, capsys):
         payload = run_json(capsys, "simulate", "--n", "10", "--replicates",

@@ -8,17 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from repeatkit.errors import ConvergenceError, DomainError
+from repeatkit.errors import DomainError
 from repeatkit.numerics import (
-    QuadratureSpec,
     chisq_cdf,
     chisq_log_pdf,
     chisq_pdf,
     chisq_quantile,
-    integrate,
     min_integer_satisfying,
     normal_cdf,
-    normal_pdf,
     normal_quantile,
 )
 
@@ -74,7 +71,7 @@ class TestNormalQuantile:
             assert normal_quantile(normal_cdf(float(x))) == pytest.approx(
                 float(x), abs=1e-12)
         for x in np.linspace(-6, 6, 25):
-            tol = max(1e-12, 2e-16 / normal_pdf(float(x)))
+            tol = max(1e-12, 2e-16 / stats.norm.pdf(float(x)))
             assert normal_quantile(normal_cdf(float(x))) == pytest.approx(
                 float(x), abs=tol)
 
@@ -96,13 +93,6 @@ class TestNormalQuantile:
     @settings(max_examples=200, deadline=None)
     def test_inverse_property(self, p):
         assert normal_cdf(normal_quantile(p)) == pytest.approx(p, rel=1e-11, abs=1e-13)
-
-
-class TestNormalPdf:
-    def test_formula(self):
-        for x in (-3.0, -0.5, 0.0, 1.25, 6.0):
-            want = math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-            assert normal_pdf(x) == pytest.approx(want, rel=1e-15)
 
 
 class TestChisqCdf:
@@ -207,37 +197,6 @@ class TestChisqQuantile:
         assert chisq_cdf(x, nu) == pytest.approx(p, rel=1e-9, abs=1e-11)
 
 
-class TestIntegrate:
-    def test_polynomial_exact(self):
-        val = integrate(lambda x: x * x, 0.0, 1.0)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_gaussian_mass(self):
-        val = integrate(normal_pdf, -8.0, 8.0)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_oscillatory(self):
-        val = integrate(math.sin, 0.0, math.pi)
-        assert val == pytest.approx(2.0, abs=1e-10)
-
-    def test_rejects_reversed_limits(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 1.0, 0.0)
-
-    def test_empty_interval(self):
-        assert integrate(lambda x: x, 1.0, 1.0) == 0.0
-
-    def test_tight_budget_raises(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
-        with pytest.raises(ConvergenceError) as err:
-            integrate(lambda x: math.exp(-x * x) * math.cos(40 * x), 0.0, 10.0, spec)
-        assert err.value.estimate is not None
-
-    def test_rejects_infinite_endpoint(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, math.inf)
-
-
 class TestMinIntegerSatisfying:
     def test_simple_threshold(self):
         assert min_integer_satisfying(lambda n: n * n >= 50) == 8
@@ -252,7 +211,7 @@ class TestMinIntegerSatisfying:
     def test_unreachable_raises(self):
         from repeatkit.errors import InfeasibleError
         with pytest.raises(InfeasibleError):
-            min_integer_satisfying(lambda n: False, max_n=10000)
+            min_integer_satisfying(lambda n: False)
 
     def test_rejects_bad_hint(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
 from repeatkit.errors import DomainError, InfeasibleError
-from repeatkit.numerics import QuadratureSpec, integrate, normal_quantile
+from repeatkit.numerics import normal_quantile
 from repeatkit.specificity import (
     MethodChoice,
     SampleSizeResult,
@@ -68,10 +68,9 @@ class TestEffectiveSpecificityGivenRatio:
 class TestEffectiveSpecificityPdf:
     @pytest.mark.parametrize("nu", [10, 30, 60])
     def test_normalizes(self, nu):
-        mass = integrate(lambda p: effective_specificity_pdf(p, nu, 0.95),
-                         1e-9, 1.0 - 1e-9,
-                         QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9,
-                                        max_subdivisions=20000))
+        mass, _ = sci_integrate.quad(lambda p: effective_specificity_pdf(p, nu, 0.95),
+                                     1e-9, 1.0 - 1e-9, epsabs=1e-9, epsrel=1e-9,
+                                     limit=400)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_cdf_derivative(self):
