@@ -560,19 +560,12 @@ def cmd_estimate(args) -> ReportEnvelope:
 # file emitters
 # ---------------------------------------------------------------------------
 
-def _sample_size_cell(m: int, p_sp: float, lb: float, conf: float) -> int | None:
-    if lb >= p_sp:
-        return None
-    return sample_size_specificity(m, p_sp, lb, conf, MethodChoice.EXACT).n
-
-
 def _table_grid(m, conf_values, lb_values, psp_values):
-    rows = []
-    for conf in conf_values:
-        for lb in lb_values:
-            cells = [_sample_size_cell(m, psp, lb, conf) for psp in psp_values]
-            rows.append((conf, lb, cells))
-    return rows
+    # one row per (conf, lb); a cell is None where the floor is not below the target
+    return [(conf, lb, [None if lb >= psp else
+                        sample_size_specificity(m, psp, lb, conf, MethodChoice.EXACT).n
+                        for psp in psp_values])
+            for conf in conf_values for lb in lb_values]
 
 
 def _write_table_csv(path, m, psp_values, rows):
@@ -688,44 +681,34 @@ def cmd_figure_data(args) -> ReportEnvelope:
         inputs={"figure": figure, "out": args.out, "psp": args.psp,
                 "conf": args.conf, "delta": args.delta, "n": args.n},
         method=("exact", "asymptotic") if figure == "1" else ("exact",))
-    written = []
     if figure == "1":
-        path = os.path.join(args.out, "fig1a_expected_specificity.csv")
-        _write_points_csv(path, ["n", "m", "nu", "expected_specificity_exact",
-                                 "expected_specificity_asymptotic"],
-                          _figure_1a_rows(args.psp))
-        written.append(path)
-        path = os.path.join(args.out, "fig1b_effective_specificity_density.csv")
-        _write_points_csv(path, ["n", "p", "density"], _figure_1b_rows(args.psp))
-        written.append(path)
+        files = [("fig1a_expected_specificity.csv",
+                  ["n", "m", "nu", "expected_specificity_exact",
+                   "expected_specificity_asymptotic"], _figure_1a_rows(args.psp)),
+                 ("fig1b_effective_specificity_density.csv", ["n", "p", "density"],
+                  _figure_1b_rows(args.psp))]
     elif figure == "2":
-        path = os.path.join(args.out, "fig2_sensitivity_vs_delta.csv")
-        _write_points_csv(path, ["delta", "sensitivity"], _figure_2_rows(args.psp))
-        written.append(path)
+        files = [("fig2_sensitivity_vs_delta.csv", ["delta", "sensitivity"],
+                  _figure_2_rows(args.psp))]
     elif figure == "3a":
-        path = os.path.join(args.out, "fig3a_specificity_lower_bound.csv")
-        _write_points_csv(path, ["n", "m", "nu", "specificity_lower_bound"],
-                          _figure_3a_rows(args.psp, args.conf))
-        written.append(path)
+        files = [("fig3a_specificity_lower_bound.csv",
+                  ["n", "m", "nu", "specificity_lower_bound"],
+                  _figure_3a_rows(args.psp, args.conf))]
     elif figure == "4a":
-        n = args.n if args.n is not None else 53
-        nu = design_degrees_of_freedom(n, 2)
-        path = os.path.join(args.out, "fig4a_ratio_density_specificity.csv")
-        _write_points_csv(path, ["w", "ratio_density", "effective_specificity"],
-                          _figure_ratio_rows(
-                              nu, lambda w: effective_specificity_given_ratio(w, args.psp)))
-        written.append(path)
+        nu = design_degrees_of_freedom(args.n if args.n is not None else 53, 2)
+        files = [("fig4a_ratio_density_specificity.csv",
+                  ["w", "ratio_density", "effective_specificity"],
+                  _figure_ratio_rows(
+                      nu, lambda w: effective_specificity_given_ratio(w, args.psp)))]
     else:
-        n = args.n if args.n is not None else 139
-        nu = design_degrees_of_freedom(n, 2)
-        path = os.path.join(args.out, "fig4b_ratio_density_sensitivity.csv")
-        _write_points_csv(path, ["w", "ratio_density", "effective_sensitivity"],
-                          _figure_ratio_rows(
-                              nu, lambda w: effective_sensitivity_given_ratio(
-                                  w, args.delta, args.psp,
-                                  SensitivityApproximation.FULL_TWO_SIDED)))
-        written.append(path)
-    for path in written:
+        nu = design_degrees_of_freedom(args.n if args.n is not None else 139, 2)
+        files = [("fig4b_ratio_density_sensitivity.csv",
+                  ["w", "ratio_density", "effective_sensitivity"],
+                  _figure_ratio_rows(nu, lambda w: effective_sensitivity_given_ratio(
+                      w, args.delta, args.psp, SensitivityApproximation.FULL_TWO_SIDED)))]
+    for name, header, rows in files:
+        path = os.path.join(args.out, name)
+        _write_points_csv(path, header, rows)
         env.add("file", path, "exact", "path")
     return env
 
@@ -753,11 +736,19 @@ def _add_agreement(env: ReportEnvelope, name: str, analytic: float,
             "monte-carlo", "+-3 MC-SE band")
 
 
+def _add_lower_bound_agreement(env: ReportEnvelope, name: str, analytic: float, dist):
+    # the empirical 95 % lower bound is the 0.05 quantile; without a
+    # standard error for it (one replicate) the row is left out with a warning
+    q = 1.0 - 0.95
+    try:
+        se = dist.quantile_standard_error(q)
+    except DomainError as e:
+        env.warnings.append(f"{name} not compared: {e}")
+        return
+    _add_agreement(env, name, analytic, dist.quantile(q), se)
+
+
 def cmd_simulate(args) -> ReportEnvelope:
-    if args.replicates <= 0:
-        raise UsageError(f"--replicates must be positive, got {args.replicates}")
-    if args.n is not None and args.n < 1:
-        raise UsageError(f"--n must be positive, got {args.n}")
     try:
         cfg = SimulationConfig(n=args.n, m=args.m, w_sd=args.wsd, p_sp=args.psp,
                                delta=args.delta if args.delta is not None else 0.0,
@@ -779,11 +770,9 @@ def cmd_simulate(args) -> ReportEnvelope:
     _add_agreement(env, "expected_effective_specificity",
                    expected_effective_specificity(nu, cfg.p_sp, MethodChoice.EXACT),
                    spec_dist.mean, spec_dist.mc_standard_error_of_mean)
-    q_lb = 1.0 - 0.95
-    _add_agreement(env, "specificity_lower_bound[conf=0.95]",
-                   specificity_lower_bound(nu, cfg.p_sp, 0.95, MethodChoice.EXACT),
-                   spec_dist.quantile(q_lb),
-                   spec_dist.quantile_standard_error(q_lb))
+    _add_lower_bound_agreement(
+        env, "specificity_lower_bound[conf=0.95]",
+        specificity_lower_bound(nu, cfg.p_sp, 0.95, MethodChoice.EXACT), spec_dist)
 
     if args.delta is not None:
         sens_dist = EmpiricalDistribution.from_samples(effective_sensitivity_given_ratio(
@@ -793,12 +782,10 @@ def cmd_simulate(args) -> ReportEnvelope:
                        expected_effective_sensitivity(nu, cfg.delta, cfg.p_sp,
                                                       MethodChoice.EXACT),
                        sens_dist.mean, sens_dist.mc_standard_error_of_mean)
-        _add_agreement(env, "sensitivity_lower_bound[conf=0.95]",
-                       sensitivity_lower_bound(nu, cfg.delta, cfg.p_sp, 0.95,
-                                               MethodChoice.EXACT,
-                                               SensitivityApproximation.FULL_TWO_SIDED),
-                       sens_dist.quantile(q_lb),
-                       sens_dist.quantile_standard_error(q_lb))
+        _add_lower_bound_agreement(
+            env, "sensitivity_lower_bound[conf=0.95]",
+            sensitivity_lower_bound(nu, cfg.delta, cfg.p_sp, 0.95, MethodChoice.EXACT,
+                                    SensitivityApproximation.FULL_TWO_SIDED), sens_dist)
 
     if args.longitudinal:
         emp_spec = study.longitudinal_specificity

@@ -11,10 +11,13 @@ specificity and sensitivity of each study are monotone maps of its ratio,
 so callers get their distributions by passing the stored ratios through
 ``effective_*_given_ratio`` and :meth:`EmpiricalDistribution.from_samples`.
 
-Reproducibility contract: replicate ``r`` of a run draws ``n*m + 4``
-normals from a Philox stream keyed ``[seed, r]`` (the first ``n*m`` are
-the study's measurement noise, the last 4 its decision pair), so any single
-replicate can be regenerated in isolation and neither chunking nor thread
+Reproducibility contract (v2): a run draws from one Philox4x64-10 stream
+keyed ``[seed, 0]``.  Replicate ``r`` needs ``n*m + 4`` normals (the first
+``n*m`` are the study's measurement noise, the last 4 its decision pair)
+and owns the counter blocks ``[r*B, (r+1)*B)`` with ``B = ceil((n*m + 4) /
+4)``, of which it uses the first ``n*m + 4`` 64-bit words.  Any single
+replicate is regenerated with ``Philox(key=[seed, 0]).advance(r*B)``, a
+shorter run is a prefix of a longer one, and neither chunking nor thread
 count can change results.
 Uniforms map 64-bit raw output to the open interval via
 ``((raw >> 11) + 0.5) * 2^-53`` and become normals through
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .core import symmetric_coverage_quantile
+from .core import design_degrees_of_freedom, symmetric_coverage_quantile
 from .numerics import check_probability, normal_quantile
 
 __all__ = [
@@ -71,9 +74,7 @@ def _thread_count() -> int:
         warnings.warn(f"REPEATKIT_THREADS={raw!r} is not an integer; using auto",
                       stacklevel=2)
         requested = 0
-    if requested <= 0:
-        return max(1, os.cpu_count() or 1)
-    return requested
+    return requested if requested > 0 else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,7 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m!r}")
+        design_degrees_of_freedom(self.n, self.m)  # integers n >= 1 and m >= 2
         if not isinstance(self.w_sd, (int, float)) or isinstance(self.w_sd, bool) \
                 or not math.isfinite(self.w_sd) or self.w_sd <= 0.0:
             raise DomainError(f"w_sd must be finite and > 0, got {self.w_sd!r}")
@@ -190,12 +188,14 @@ def _run_chunks(worker, chunks):
 def _chunk_normals(cfg: SimulationConfig, start: int, count: int,
                    draws: int) -> np.ndarray:
     """Standard normal draws for replicates [start, start+count), shape (count, draws)."""
-    out = np.empty((count, draws), dtype=np.float64)
-    shift = np.uint64(11)
-    scale = 2.0 ** -53
-    for i in range(count):
-        raw = np.random.Philox(key=[cfg.seed, start + i]).random_raw(draws)
-        out[i] = (np.asarray(raw >> shift, dtype=np.float64) + 0.5) * scale
+    blocks = -(-draws // 4)  # B: Philox blocks of four words per replicate
+    bits = np.random.Philox(key=[cfg.seed, 0])
+    bits.advance(start * blocks)
+    raw = bits.random_raw(count * blocks * 4).reshape(count, 4 * blocks)[:, :draws]
+    raw >>= np.uint64(11)
+    out = raw.view(np.float64)
+    np.add(raw, 0.5, out=out, casting="unsafe")
+    out *= 2.0 ** -53
     return normal_quantile(out)
 
 
@@ -217,12 +217,13 @@ def simulate_study(cfg: SimulationConfig) -> StudySimulation:
     """Simulate ``cfg.replicates`` studies of the design in one pass.
 
     Each replicate builds a full ``n x m`` measurement table, pools the
-    within-subject sums of squares, and normalizes the resulting SD
-    estimate by the true ``w_sd``.  It then draws one unchanged and one
-    changed (by ``delta * w_sd``) measurement pair and classifies both by
-    the strict-exceedance rule against its estimated threshold (the same
+    within-subject sums of squares, and divides the resulting SD estimate
+    by the true ``w_sd``.  It then draws one unchanged and one changed (by
+    ``delta * w_sd``) measurement pair and classifies both by the
+    strict-exceedance rule against its estimated threshold (the same
     comparison as ``decide_change``), the only step with no closed form
-    anywhere.  Deterministic given ``cfg``.
+    anywhere.  All of it is scale-free, so it runs in units of ``w_sd``.
+    Deterministic given ``cfg``.
     """
     z = symmetric_coverage_quantile(cfg.p_sp)
     table = cfg.n * cfg.m
@@ -232,19 +233,16 @@ def simulate_study(cfg: SimulationConfig) -> StudySimulation:
               for start in range(0, cfg.replicates, size)]
 
     def worker(start, count):
+        # in units of w_sd, so no draw is scaled (none overflows or underflows)
         normals = _chunk_normals(cfg, start, count, draws)
-        meas = cfg.w_sd * normals[:, :table].reshape(count, cfg.n, cfg.m)
-        centered = meas - meas.mean(axis=2, keepdims=True)
+        centered = normals[:, :table].reshape(count, cfg.n, cfg.m)
+        centered -= centered.mean(axis=2, keepdims=True)
         pooled_ss = np.einsum("rij,rij->r", centered, centered)
-        ratios = np.sqrt(pooled_ss / cfg.nu) / cfg.w_sd
-        rc_hat = z * _SQRT2 * (ratios * cfg.w_sd)
+        ratios = np.sqrt(pooled_ss / cfg.nu)
+        rc_hat = z * _SQRT2 * ratios
         pair = normals[:, table:]
-        y_pre0 = cfg.w_sd * pair[:, 0]
-        y_post0 = cfg.w_sd * pair[:, 1]
-        y_pre1 = cfg.w_sd * pair[:, 2]
-        y_post1 = cfg.delta * cfg.w_sd + cfg.w_sd * pair[:, 3]
-        kept = np.count_nonzero(np.abs(y_post0 - y_pre0) <= rc_hat)
-        caught = np.count_nonzero(np.abs(y_post1 - y_pre1) > rc_hat)
+        kept = np.count_nonzero(np.abs(pair[:, 1] - pair[:, 0]) <= rc_hat)
+        caught = np.count_nonzero(np.abs(cfg.delta + pair[:, 3] - pair[:, 2]) > rc_hat)
         return ratios, int(kept), int(caught)
 
     results = _run_chunks(worker, chunks)

@@ -56,13 +56,9 @@ def check_probability(value: float, name: str = "probability") -> float:
 
 def check_degrees_of_freedom(nu: int, name: str = "nu") -> int:
     """Validate a degrees-of-freedom count: a positive integer."""
-    if isinstance(nu, bool):
-        raise DomainError(f"{name} must be a positive integer, got {nu!r}")
-    if isinstance(nu, float):
-        if not nu.is_integer():
-            raise DomainError(f"{name} must be a positive integer, got {nu!r}")
+    if isinstance(nu, float) and nu.is_integer():
         nu = int(nu)
-    if not isinstance(nu, (int, np.integer)):
+    if isinstance(nu, bool) or not isinstance(nu, (int, np.integer)):
         raise DomainError(f"{name} must be a positive integer, got {nu!r}")
     nu = int(nu)
     if nu < 1:

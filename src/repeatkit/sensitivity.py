@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -113,7 +114,11 @@ class EffectSize:
             raise DomainError(f"mu_delta must be finite, got {mu_delta!r}")
         if not math.isfinite(w_sd) or w_sd <= 0.0:
             raise DomainError(f"w_sd must be finite and > 0, got {w_sd!r}")
-        return cls(delta=mu_delta / w_sd)
+        # a nonzero quotient that overflows or underflows is clamped, keeping its sign
+        magnitude = min(abs(mu_delta) / w_sd, sys.float_info.max)
+        if mu_delta != 0.0:
+            magnitude = max(magnitude, math.ulp(0.0))
+        return cls(delta=math.copysign(magnitude, mu_delta))
 
     @property
     def signed(self) -> float:
@@ -203,13 +208,26 @@ def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
     if method is MethodChoice.EXACT:
-        near = float(nctdtr(nu, d, z))
-        far = float(nctdtr(nu, d, -z))
+        near = _nct_cdf(nu, d, z)
+        far = _nct_cdf(nu, d, -z)
     else:
         s = math.sqrt(1.0 + z * z / (2.0 * nu))
         near = normal_cdf((z - d) / s)
         far = normal_cdf((-z - d) / s)
     return 1.0 - near + far
+
+
+def _nct_cdf(nu: int, d: float, t: float) -> float:
+    """``F_nct(t; nu, d)`` by ``nctdtr``, where it returns nan a limit stands in.
+
+    nctdtr fails in two corners: at ``|t|`` below about 1e-99 (``nu = 1``),
+    where ``F = Phi(-d)`` to within ``|t| / sqrt(2 pi)``, and in lower tails
+    whose true value is below 1e-12, where 0 stands in.
+    """
+    value = float(nctdtr(nu, d, t))
+    if math.isnan(value):
+        return normal_cdf(-d) if abs(t) < 1e-16 else 0.0
+    return value
 
 
 def _invert_two_sided(target: float, d: float, z: float) -> float:

@@ -192,6 +192,10 @@ class TestSampleSizeSens:
         assert "use the exact method" in payload["warnings"][0]
 
 
+_VANISHING_EFFECT = ("samplesize-sens", "--mu-delta", "1e-300", "--wsd", "1e300",
+                     "--ese-lb", "0.5")
+
+
 @pytest.mark.parametrize("argv", [
     # nu * u^2 overflows; the exact confidence is then 1
     ("samplesize-sens", "--delta", "1e155", "--ese-lb", "0.9"),
@@ -211,13 +215,25 @@ class TestSampleSizeSens:
     ("samplesize-sens", "--delta", "1e10", "--psp", "1e-300", "--ese-lb", "0.5"),
     # nu * w^2 overflows in the density, which vanishes there
     ("figure-data", "--figure", "1", "--psp", "1e-300"),
+    # measurements in units of w_sd would overflow or underflow when squared
+    ("simulate", "--n", "3", "--replicates", "50", "--wsd", "1e200"),
+    ("simulate", "--n", "3", "--replicates", "50", "--wsd=1e-300", "--delta=-1e300",
+     "--longitudinal"),
+    # mu_delta / w_sd overflows or underflows; it is clamped to a finite nonzero double
+    ("samplesize-sens", "--mu-delta", "1e300", "--wsd", "1e-300", "--ese-lb", "0.5"),
+    _VANISHING_EFFECT,
 ])
 def test_extreme_inputs_answer(capsys, tmp_path, argv):
+    if argv == _VANISHING_EFFECT:
+        # the smallest effect, like --delta 5e-324, is reported infeasible
+        code, _, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_INFEASIBLE, err
+        return
     if argv[0] == "figure-data":
         argv = argv + ("--out", str(tmp_path))
     payload = run_json(capsys, *argv)
     for r in payload["results"]:
-        if r["units"] != "path":
+        if not isinstance(r["value"], str):
             assert math.isfinite(r["value"]), r
     if argv[0].startswith("samplesize"):
         assert one(payload, "sample_size", "exact") >= 1
@@ -258,6 +274,13 @@ _CONTRACT_ARGV = st.one_of(
         "figure-data", f"--figure={figure}", f"--psp={psp!r}", f"--conf={conf!r}",
         f"--delta={delta!r}", f"--n={n}"],
         st.sampled_from(["1", "2", "3a", "4a", "4b"]), _PROB, _PROB, _DELTA, _NU),
+    st.builds(lambda n, m, reps, seed, psp, delta, wsd, longitudinal: [
+        "simulate", f"--n={n}", f"--m={m}", f"--replicates={reps}", f"--seed={seed}",
+        f"--psp={psp!r}", f"--delta={delta!r}", f"--wsd={wsd!r}"]
+        + (["--longitudinal"] if longitudinal else []),
+        st.integers(1, 50), st.integers(2, 5), st.integers(1, 300),
+        st.integers(0, 2**64 - 1), _PROB, _DELTA,
+        st.floats(min_value=1e-300, max_value=1e300), st.booleans()),
 )
 
 

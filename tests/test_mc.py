@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from repeatkit import cli, mc
 from repeatkit.errors import DomainError
@@ -90,7 +90,7 @@ class TestDeterminism:
         assert np.array_equal(serial, threaded)
 
     def test_replicate_stream_is_positional(self):
-        # replicate r is keyed (seed, r): a shorter run is a prefix of a longer one
+        # replicate r owns fixed counter blocks: a shorter run is a prefix of a longer one
         long = ratios(SimulationConfig(n=4, m=2, replicates=300, seed=5))
         short = ratios(SimulationConfig(n=4, m=2, replicates=120, seed=5))
         assert np.array_equal(long[:120], short)
@@ -108,12 +108,36 @@ class TestDeterminism:
         assert out.shape == (50,)
 
     def test_rng_contract_is_pinned(self):
-        # bit-level values of the [seed, r] streams: any change to the RNG contract shows here
+        # bit-level values of the [seed, 0] stream: any change to the RNG contract shows here
         got = ratios(SimulationConfig(n=3, m=2, replicates=3, seed=0))
         assert [float(x).hex() for x in got] == [
-            "0x1.c6909222ab533p-1", "0x1.0768a9c6bd9bep-1", "0x1.29036c09d7085p-1"]
+            "0x1.c6909222ab533p-1", "0x1.a23b238d80f53p-2", "0x1.84c64ad535e5ep+0"]
         cfg = SimulationConfig(n=10, m=2, delta=2.0, replicates=5000, seed=9)
-        assert decisions(cfg) == (0.9204, 0.3288)
+        assert decisions(cfg) == (0.9264, 0.3248)
+
+    def test_replicate_regenerates_alone(self):
+        # replicate r owns the counter blocks [r*B, (r+1)*B) of the [seed, 0]
+        # stream, B = ceil(draws / 4); here draws = 19, so each skips one word
+        cfg = SimulationConfig(n=5, m=3, seed=77)
+        draws = cfg.n * cfg.m + 4
+        blocks = -(-draws // 4)
+        bulk = mc._chunk_normals(cfg, 0, 40, draws)
+        for r in (0, 1, 17, 39):
+            bits = np.random.Philox(key=[cfg.seed, 0])
+            bits.advance(r * blocks)
+            raw = bits.random_raw(draws)
+            alone = special.ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
+            assert np.array_equal(alone, bulk[r]), r
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        cfg = SimulationConfig(n=6, m=3, delta=1.5, replicates=5000, seed=4)
+        monkeypatch.setattr(mc, "_CHUNK_REPLICATES", 4096)
+        wide = simulate_study(cfg)
+        monkeypatch.setattr(mc, "_CHUNK_REPLICATES", 37)
+        narrow = simulate_study(cfg)
+        assert np.array_equal(wide.ratios, narrow.ratios)
+        assert (wide.longitudinal_specificity, wide.longitudinal_sensitivity) == \
+            (narrow.longitudinal_specificity, narrow.longitudinal_sensitivity)
 
     def test_simulate_draws_each_stream_once(self, monkeypatch, capsys):
         drawn = []
@@ -146,6 +170,13 @@ class TestRatioDistribution:
         np.testing.assert_allclose(ratios(base),
                                    ratios(scaled),
                                    rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("w_sd", [7.0, 1e-300, 1e300])
+    def test_decisions_are_scale_free(self, w_sd):
+        # delta is in units of w_sd, so neither decision depends on the scale
+        base = SimulationConfig(n=6, m=2, delta=2.0, replicates=2000, seed=11)
+        scaled = SimulationConfig(n=6, m=2, w_sd=w_sd, delta=2.0, replicates=2000, seed=11)
+        assert decisions(scaled) == decisions(base)
 
     def test_scaled_square_matches_chi_square(self):
         cfg = SimulationConfig(n=12, m=2, replicates=20_000, seed=7)

@@ -172,6 +172,31 @@ class TestExpectedEffectiveSensitivity:
         assert abs(e - a) < 5e-4
 
 
+class TestNoncentralTCorners:
+    # points where scipy's nctdtr returns nan: |t| near 1e-120 with nu = 1,
+    # and lower tails far below 1e-12; the stand-ins hold to 1e-12
+    @pytest.mark.parametrize("nu, d, t", [
+        (1, 1e-5, 1.25e-120),
+        (1, 0.5, -1.25e-120),
+        (100, 10.0, -1.96),
+        (348070, 3.2054, -3.8583),
+        (3, 1e300, 1.96),
+    ])
+    def test_matches_quadrature(self, nu, d, t):
+        def f(x):
+            return stats.norm.cdf(t * math.sqrt(x / nu) - d) * stats.chi2.pdf(x, nu)
+
+        lo, hi = stats.chi2.ppf([1e-15, 1 - 1e-15], nu)
+        want, _ = sci_integrate.quad(f, lo, hi, limit=400, epsabs=1e-15)
+        assert sensitivity_module._nct_cdf(nu, d, t) == pytest.approx(want, abs=1e-12)
+
+    def test_expectation_stays_finite(self):
+        # was nan: nctdtr(100, 10, -1.96) and both tails at delta = 1e300
+        assert expected_effective_sensitivity(100, 10 * math.sqrt(2), 0.95) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert expected_effective_sensitivity(3, 1e300, 0.95) == 1.0
+
+
 class TestSensitivityConfidence:
     def test_frozen_exact_value(self):
         got = sensitivity_confidence(139, 4.0, 0.95, 0.75, MethodChoice.EXACT,
