@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -77,8 +78,10 @@ class UsageError(Exception):
 
 
 def _round10(x: float) -> float:
-    # canonical 10-significant-digit float for machine-readable output
-    return float(f"{x:.10g}")
+    # canonical 10-significant-digit float for machine-readable output; a
+    # finite value that rounds past the largest double is kept as it is
+    r = float(f"{x:.10g}")
+    return x if math.isinf(r) and math.isfinite(x) else r
 
 
 def _fmt(x) -> str:
@@ -187,7 +190,9 @@ def _add_format_flag(sub):
                      help="output rendering (default: table)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not mutate it."""
     parser = _Parser(prog="repeatkit",
                      description="Plan and assess test-retest repeatability studies.")
     parser.add_argument("--version", action="version", version=f"repeatkit {__version__}")
@@ -201,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="floor on the effective specificity")
     p.add_argument("--conf", type=float, default=0.95, help="confidence level (default 0.95)")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_samplesize_spec)
 
     p = subs.add_parser("samplesize-sens",
                         help="sample size for an effective-sensitivity floor")
@@ -217,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="floor on the effective sensitivity")
     p.add_argument("--conf", type=float, default=0.95)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_samplesize_sens)
 
     p = subs.add_parser("retro", help="retrospective assessment of a design")
     p.add_argument("--n", type=int, default=None, help="number of subjects")
@@ -231,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_float_list, default=(),
                    help="comma-separated effect sizes for sensitivity summaries")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_retro)
 
     p = subs.add_parser("estimate", help="estimate the within-subject SD from CSV data")
     p.add_argument("--csv", required=True,
                    help="CSV path with header subject_id,replicate_index,value ('-' = stdin)")
     p.add_argument("--psp", type=float, default=0.95)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_estimate)
 
     p = subs.add_parser("tables", help="regenerate the sample-size reference grids")
     p.add_argument("--out", required=True, help="output directory")
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--esp-lb-list", type=_float_list, default=TABLE_LB_VALUES)
     p.add_argument("--psp-list", type=_float_list, default=TABLE_PSP_VALUES)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_tables)
 
     p = subs.add_parser("figure-data", help="emit plot-ready CSV point sets")
     p.add_argument("--figure", required=True,
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="design size override for the ratio-density figures")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_figure_data)
 
     p = subs.add_parser("simulate", help="Monte Carlo cross-check of analytic values")
     p.add_argument("--n", type=int, required=True)
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--longitudinal", action="store_true",
                    help="also run the end-to-end decision simulation")
     _add_format_flag(p)
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -813,7 +811,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            envelope = args.func(args)
+            # looked up per call, so a command rebound on this module is the one run
+            envelope = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         envelope.take_warnings(caught)
     except UsageError as e:
         print(f"repeatkit: usage error: {e}", file=sys.stderr)

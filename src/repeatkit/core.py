@@ -220,14 +220,22 @@ def pooled_wsd(codes: np.ndarray, values: np.ndarray) -> WsdEstimate:
     ``values[k]`` is a measurement of subject ``codes[k]``.  The codes run
     over ``0 .. n-1`` with every subject measured at least twice, and the
     values are finite; rows may come in any order.  Subject means and the
-    sum of squared deviations from them are two passes over the columns.
+    sum of squared deviations from them are two passes over the columns,
+    in units of ``2**e`` with ``e`` the binary exponent of the largest
+    ``|value|``, so no square overflows or underflows; the scaling is exact.
+    A wSD beyond the largest double is a :class:`DataValidationError`.
     Warns like :func:`estimate_wsd`.
     """
+    e = math.frexp(float(np.abs(values).max()))[1]
+    values = np.ldexp(values, -e)
     counts = np.bincount(codes)
     means = np.bincount(codes, weights=values) / counts
     resid = values - means[codes]
     nu = values.size - counts.size
-    wsd_hat = math.sqrt(float(np.square(resid).sum()) / nu)
+    try:
+        wsd_hat = math.ldexp(math.sqrt(float(np.square(resid).sum()) / nu), e)
+    except OverflowError:
+        raise DataValidationError("the within-subject SD exceeds the largest double") from None
     # stacklevel 3 names the estimator's caller, not this helper
     if nu < SMALL_NU_WARNING_THRESHOLD:
         warnings.warn(

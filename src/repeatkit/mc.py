@@ -12,16 +12,19 @@ so callers get their distributions by passing the stored ratios through
 ``effective_*_given_ratio`` and :meth:`EmpiricalDistribution.from_samples`.
 
 Reproducibility contract (v2): a run draws from one Philox4x64-10 stream
-keyed ``[seed, 0]``.  Replicate ``r`` needs ``n*m + 4`` normals (the first
-``n*m`` are the study's measurement noise, the last 4 its decision pair)
-and owns the counter blocks ``[r*B, (r+1)*B)`` with ``B = ceil((n*m + 4) /
-4)``, of which it uses the first ``n*m + 4`` 64-bit words.  Any single
-replicate is regenerated with ``Philox(key=[seed, 0]).advance(r*B)``, a
-shorter run is a prefix of a longer one, and neither chunking nor thread
-count can change results.
+keyed by the two 64-bit words ``[seed, 0]``.  Replicate ``r`` needs
+``n*m + 4`` normals (the first ``n*m`` are the study's measurement noise,
+the last 4 its decision pair) and owns the counter blocks ``[r*B, (r+1)*B)``
+with ``B = ceil((n*m + 4) / 4)``, of which it uses the first ``n*m + 4``
+64-bit words.  Any single replicate is regenerated with
+``Philox(key=np.array([seed, 0], np.uint64)).advance(r*B)``, a shorter run
+is a prefix of a longer one, and neither chunking nor thread count can
+change results.
 Uniforms map 64-bit raw output to the open interval via
 ``((raw >> 11) + 0.5) * 2^-53`` and become normals through
-``normal_quantile`` (``scipy.special.ndtri``).
+``normal_quantile`` (``scipy.special.ndtri``).  A chunk holds one buffer:
+``Generator.random`` writes ``(raw >> 11) * 2^-53`` into it, adding
+``2^-54`` rounds exactly like the map above, and ``ndtri`` runs in place.
 """
 
 from __future__ import annotations
@@ -189,14 +192,12 @@ def _chunk_normals(cfg: SimulationConfig, start: int, count: int,
                    draws: int) -> np.ndarray:
     """Standard normal draws for replicates [start, start+count), shape (count, draws)."""
     blocks = -(-draws // 4)  # B: Philox blocks of four words per replicate
-    bits = np.random.Philox(key=[cfg.seed, 0])
-    bits.advance(start * blocks)
-    raw = bits.random_raw(count * blocks * 4).reshape(count, 4 * blocks)[:, :draws]
-    raw >>= np.uint64(11)
-    out = raw.view(np.float64)
-    np.add(raw, 0.5, out=out, casting="unsafe")
-    out *= 2.0 ** -53
-    return normal_quantile(out)
+    gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], np.uint64)))
+    gen.bit_generator.advance(start * blocks)
+    # random() is (x >> 11) * 2^-53, so adding 2^-54 rounds like ((x >> 11) + 0.5) * 2^-53
+    out = gen.random((count, 4 * blocks))[:, :draws]
+    out += 2.0 ** -54
+    return normal_quantile(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def normal_cdf(x):
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def normal_quantile(p):
+def normal_quantile(p, out=None):
     """Standard normal quantile ``Φ⁻¹(p)`` for p strictly inside (0, 1).
 
     ``scipy.special.ndtri``; ``normal_cdf(normal_quantile(p))`` recovers
@@ -104,6 +104,8 @@ def normal_quantile(p):
     ----------
     p : float or ndarray
         Probabilities, each strictly between 0 and 1.
+    out : ndarray, optional
+        Array to write the quantiles of an array ``p`` into (may be ``p``).
 
     Returns
     -------
@@ -112,7 +114,7 @@ def normal_quantile(p):
     if isinstance(p, np.ndarray):
         if not (np.isfinite(p).all() and (p > 0.0).all() and (p < 1.0).all()):
             raise DomainError("normal_quantile requires probabilities in (0, 1)")
-        return ndtri(p)
+        return ndtri(p, out=out)
     return float(ndtri(check_probability(p, "p")))
 
 

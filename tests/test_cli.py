@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from repeatkit import __version__
+from repeatkit import __version__, cli
 from repeatkit.cli import (
     EXIT_CANTCREAT,
     EXIT_DATA,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -46,6 +47,15 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == EXIT_OK, err
     return json.loads(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    # json.loads accepts Infinity and NaN, which are not JSON
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def values(payload, name, method=None):
@@ -95,6 +105,61 @@ class TestEnvelope:
         assert out.startswith(f"repeatkit retro (v{__version__})")
         assert "94.20%" in out
         assert "88.36%" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("samplesize-sens", "--delta", repr(sys.float_info.max), "--ese-lb", "0.5"),
+        ("samplesize-sens", "--mu-delta", "1e300", "--wsd", "1e-300", "--ese-lb", "0.5"),
+    ])
+    def test_json_keeps_the_largest_double_finite(self, capsys, argv):
+        # ten digits of the largest double round past it, so it is kept as it is
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK, err
+        assert strict_json(out)["inputs"]["delta"] == sys.float_info.max
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        build_parser.cache_clear()
+        codes = [run(capsys, *argv)[0] for argv in [
+            ("retro", "--nu", "5"), ("retro", "--nu", "x"),
+            ("samplesize-spec", "--esp-lb", "0.9"), ("retro", "--nu", "5")]]
+        assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+        # one tree: the root parser and its seven subcommand parsers
+        assert len(built) == 8
+        assert built[0] == "repeatkit"
+
+    def test_command_rebound_after_build_is_the_one_run(self, capsys, monkeypatch):
+        # a wrapper installed once the parser exists (a tracer, say) sees the call
+        build_parser()
+        calls = []
+        cmd_retro = cli.cmd_retro
+        monkeypatch.setattr(cli, "cmd_retro", lambda args: calls.append(args) or cmd_retro(args))
+        assert run(capsys, "retro", "--nu", "5")[0] == EXIT_OK
+        assert len(calls) == 1
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        argv = ("retro", "--nu", "5", "--bound", "0.9", "--format", "json")
+        assert run(capsys, "retro", "--nu", "5", "--bound", "zero")[0] == EXIT_USAGE
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "repeatkit", *argv],
+                               capture_output=True, text=True)
+        assert code == fresh.returncode == EXIT_OK
+        assert out == fresh.stdout
+
+    def test_defaults_are_not_mutated(self, capsys):
+        first = run_json(capsys, "retro", "--nu", "5", "--bound", "0.9")
+        second = run_json(capsys, "retro", "--nu", "5")
+        assert first["inputs"]["bound"] == [0.9]
+        assert second["inputs"]["bound"] == []
+        assert values(second, "prob_effective_specificity_below[0.9]") == []
 
 
 class TestSampleSizeSpec:
@@ -248,14 +313,39 @@ def test_extreme_inputs_answer(capsys, tmp_path, argv):
 # replicate and degree-of-freedom counts up to 1e9.  Flags are passed as
 # --flag=value so argparse reads a negative value as a value.
 _PROB = st.floats(min_value=1e-300, max_value=1.0 - 2.0**-53)
-_DELTA = st.builds(lambda mag, neg: -mag if neg else mag,
-                   st.floats(min_value=1e-300, max_value=1e300), st.booleans())
+
+
+def _signed(lo, hi):
+    return st.builds(lambda mag, neg: -mag if neg else mag,
+                     st.floats(min_value=lo, max_value=hi), st.booleans())
+
+
+_DELTA = _signed(1e-300, 1e300)
 _M = st.integers(min_value=2, max_value=10**9)
 _NU = st.integers(min_value=1, max_value=10**9)
+# a small study: up to 6 subjects of 2 to 4 measurements from 1e-320 to 1e300
+_STUDY_CSV = st.lists(st.lists(_signed(1e-320, 1e300), min_size=2, max_size=4),
+                      min_size=1, max_size=6).map(
+    lambda subjects: "subject_id,replicate_index,value\n" + "".join(
+        f"S{i},{j + 1},{v!r}\n" for i, vals in enumerate(subjects)
+        for j, v in enumerate(vals)))
 
 
 def _flag_list(values_):
     return ",".join(repr(v) for v in values_)
+
+
+def _lists(strategy):
+    return st.lists(strategy, min_size=1, max_size=3)
+
+
+def _numbers(node):
+    # every int and float in a JSON value, booleans aside
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
 _CONTRACT_ARGV = st.one_of(
@@ -268,8 +358,12 @@ _CONTRACT_ARGV = st.one_of(
     st.builds(lambda nu, psp, conf, bounds, deltas: [
         "retro", f"--nu={nu}", f"--psp={psp!r}", f"--conf={conf!r}",
         f"--bound={_flag_list(bounds)}", f"--delta={_flag_list(deltas)}"],
-        _NU, _PROB, _PROB, st.lists(_PROB, min_size=1, max_size=3),
-        st.lists(_DELTA, min_size=1, max_size=3)),
+        _NU, _PROB, _PROB, _lists(_PROB), _lists(_DELTA)),
+    st.builds(lambda psp, text: ["estimate", f"--psp={psp!r}", text], _PROB, _STUDY_CSV),
+    st.builds(lambda ms, confs, lbs, psps: [
+        "tables", f"--m-list={_flag_list(ms)}", f"--conf-list={_flag_list(confs)}",
+        f"--esp-lb-list={_flag_list(lbs)}", f"--psp-list={_flag_list(psps)}"],
+        _lists(_M), _lists(_PROB), _lists(_PROB), _lists(_PROB)),
     st.builds(lambda figure, psp, conf, delta, n: [
         "figure-data", f"--figure={figure}", f"--psp={psp!r}", f"--conf={conf!r}",
         f"--delta={delta!r}", f"--n={n}"],
@@ -288,13 +382,23 @@ _CONTRACT_ARGV = st.one_of(
 @settings(max_examples=300, deadline=None, database=None)
 def test_valid_designs_answer_or_are_infeasible(tmp_path_factory, argv):
     # every valid design gets a report (exit 0) or is infeasible (exit 2);
-    # no exception escapes and no input is reported as a usage error
-    if argv[0] == "figure-data":
-        argv = argv + [f"--out={tmp_path_factory.mktemp('fig')}"]
+    # no exception escapes, no input is reported as a usage error, and a
+    # report is strict JSON whose every input and result number is finite
+    if argv[0] in ("figure-data", "tables"):
+        argv = argv + [f"--out={tmp_path_factory.mktemp('out')}"]
+    if argv[0] == "estimate":
+        # the last element is the study's CSV text
+        path = tmp_path_factory.mktemp("csv") / "study.csv"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [f"--csv={path}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--format=json"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE), (argv, err.getvalue())
+    if code == EXIT_OK:
+        payload = strict_json(out.getvalue())
+        for x in _numbers([payload["inputs"], payload["results"]]):
+            assert math.isfinite(x), (argv, x)
 
 
 class TestRetro:
@@ -411,6 +515,8 @@ class TestEstimate:
         ("subject_id,replicate_index,value\nA,9223372036854775808,2\n", "out of range"),
         ("subject_id,replicate_index,value\nA,1,2\nA,2,3\nB,1,4\n",
          "at least 2 replicates"),
+        ("subject_id,replicate_index,value\nA,1,1.7e308\nA,2,-1.7e308\nB,1,1e308\n"
+         "B,2,-1e308\n", "exceeds the largest double"),
     ])
     def test_invalid_data_exits_65(self, capsys, tmp_path, content, fragment):
         path = tmp_path / "bad.csv"
@@ -419,6 +525,18 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "data error" in err
         assert fragment in err
+
+    @pytest.mark.parametrize("scale,rel", [(1e200, 1e-9), (1e-320, 1e-3)])
+    def test_extreme_magnitudes(self, capsys, tmp_path, scale, rel):
+        # the squares overflow or underflow; the SD is reduced in units of a power of two
+        path = tmp_path / "extreme.csv"
+        path.write_text("subject_id,replicate_index,value\n" + "".join(
+            f"{sid},{j},{k * scale!r}\n" for sid, j, k in
+            [("A", 1, 1), ("A", 2, 3), ("B", 1, 2), ("B", 2, 1)]))
+        payload = run_json(capsys, "estimate", "--csv", str(path))
+        # A has SS 2, B has SS 0.5, nu = 2
+        assert one(payload, "wsd_hat") == pytest.approx(math.sqrt(1.25) * scale, rel=rel)
+        assert not any("zero" in w for w in payload["warnings"])
 
     def test_error_messages_carry_line_numbers(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

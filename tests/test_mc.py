@@ -6,6 +6,7 @@ multiples of the Monte Carlo standard error at the chosen seeds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,16 +119,37 @@ class TestDeterminism:
     def test_replicate_regenerates_alone(self):
         # replicate r owns the counter blocks [r*B, (r+1)*B) of the [seed, 0]
         # stream, B = ceil(draws / 4); here draws = 19, so each skips one word
-        cfg = SimulationConfig(n=5, m=3, seed=77)
-        draws = cfg.n * cfg.m + 4
-        blocks = -(-draws // 4)
-        bulk = mc._chunk_normals(cfg, 0, 40, draws)
-        for r in (0, 1, 17, 39):
-            bits = np.random.Philox(key=[cfg.seed, 0])
-            bits.advance(r * blocks)
-            raw = bits.random_raw(draws)
-            alone = special.ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
-            assert np.array_equal(alone, bulk[r]), r
+        for seed in (77, 2**63 + 77):
+            cfg = SimulationConfig(n=5, m=3, seed=seed)
+            draws = cfg.n * cfg.m + 4
+            blocks = -(-draws // 4)
+            bulk = mc._chunk_normals(cfg, 0, 40, draws)
+            for r in (0, 1, 17, 39):
+                bits = np.random.Philox(key=np.array([cfg.seed, 0], dtype=np.uint64))
+                bits.advance(r * blocks)
+                raw = bits.random_raw(draws)
+                alone = special.ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
+                assert np.array_equal(alone, bulk[r]), (seed, r)
+
+    def test_seeds_above_2_63_are_distinct(self):
+        # each seed keys its own stream, all 64 bits of it
+        groups = [(0, 2**64 - 1), (2**63, 2**63 + 1, 9223372036854776000)]
+        for seeds in groups:
+            runs = {ratios(SimulationConfig(n=3, m=2, replicates=4, seed=s)).tobytes()
+                    for s in seeds}
+            assert len(runs) == len(seeds), seeds
+
+    def test_chunk_holds_one_buffer(self):
+        # the uniforms are drawn into the float64 buffer that becomes the normals
+        cfg = SimulationConfig(n=54, m=2, seed=0)
+        mc._chunk_normals(cfg, 0, 8, 110)
+        tracemalloc.start()
+        try:
+            mc._chunk_normals(cfg, 0, 4096, 110)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4096 * 112 * 8
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = SimulationConfig(n=6, m=3, delta=1.5, replicates=5000, seed=4)
