@@ -32,7 +32,7 @@ import re
 import sys
 import warnings as _warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -418,29 +418,45 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
 
     Returns the subject ids in order of first appearance, each data row's
     subject code (its position in that list) and each data row's value.
-    Every check runs on whole columns; only when one fails are the rows
-    walked again, by :func:`_check_rows`, to report the first failing row
-    in file order.
+    ``csv.reader`` streams its rows into one flat list of fields and a list
+    of row lengths, and keeps no row.  When every row has 3 fields, the
+    columns are strided slices of the flat list and every check runs on
+    whole columns.  Only blank rows, a wrong column count or a failed check
+    rebuild the rows, for :func:`_check_rows` to report the first failing
+    row in file order.
     """
     reader = csv.reader(stream)
+    fields, lengths = [], []
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataValidationError(f"{source}: empty file") from None
-    expected = ["subject_id", "replicate_index", "value"]
-    if [h.strip() for h in header] != expected:
-        raise DataValidationError(
-            f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
-    first_line = reader.line_num + 1
-    rows = list(reader)
-    data = rows
-    if set(map(len, rows)) != {3}:
+        header = next(reader, None)
+        if header is None:
+            raise DataValidationError(f"{source}: empty file")
+        expected = ["subject_id", "replicate_index", "value"]
+        if [h.strip() for h in header] != expected:
+            raise DataValidationError(
+                f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
+        first_line = reader.line_num + 1
+        for row in reader:
+            fields += row
+            lengths.append(len(row))
+    except UnicodeDecodeError:
+        # the decoder's offsets count from its current chunk, not the file start
+        raise DataValidationError(f"{source}: not UTF-8 text") from None
+    except csv.Error as e:
+        raise DataValidationError(f"{source}:{reader.line_num}: {e}") from None
+    rows = None
+    if lengths.count(3) != len(lengths):
+        rows = _rows(fields, lengths)
         data = [row for row in rows if not _is_blank(row)]
-    if not data:
+        fields = [f for row in data for f in row]
+        lengths = list(map(len, data))
+    if not lengths:
         raise DataValidationError(f"{source}: no data rows")
-    columns = _columns(data)
+    columns = None
+    if lengths.count(3) == len(lengths):
+        columns = _columns(fields[0::3], fields[1::3], fields[2::3])
     if columns is None:
-        _check_rows(rows, source, first_line)
+        _check_rows(_rows(fields, lengths) if rows is None else rows, source, first_line)
     names, codes, values = columns
     counts = np.bincount(codes)
     short = np.flatnonzero(counts < 2)
@@ -452,21 +468,25 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
     return names, codes, values
 
 
-def _columns(data: list[list[str]]):
-    """``(names, codes, values)`` of non-blank rows, or None if any row is invalid.
+def _rows(fields: list[str], lengths: list[int]) -> list[list[str]]:
+    """The rows that ``lengths`` cut the flat ``fields`` into, in order."""
+    it = iter(fields)
+    return [list(islice(it, n)) for n in lengths]
+
+
+def _columns(sids, indices, values):
+    """``(names, codes, values)`` of the data rows' three columns, or None if any row is invalid.
 
     Parses with ``int`` and ``float`` exactly as a row-by-row reader would.
     A duplicate ``(subject_id, replicate_index)`` shows as two equal
     neighbours once the rows' ``(code, index rank)`` keys are sorted.
     """
-    if set(map(len, data)) != {3}:
-        return None
-    sids = list(map(str.strip, map(itemgetter(0), data)))
+    sids = list(map(str.strip, sids))
     if "" in sids:
         return None
     try:
-        idx = np.array(list(map(int, map(itemgetter(1), data))), dtype=np.int64)
-        values = np.array(list(map(float, map(itemgetter(2), data))), dtype=np.float64)
+        idx = np.fromiter(map(int, indices), np.int64, len(indices))
+        values = np.fromiter(map(float, values), np.float64, len(values))
     except (ValueError, OverflowError):
         return None
     if idx.min() < 1 or not np.isfinite(values).all():

@@ -256,13 +256,17 @@ def repeatability_coefficient(wsd: float, p_sp: float = 0.95, *,
     The difference of two measurements of an unchanged subject has standard
     deviation ``sqrt(2) * w_SD``; scaling by the symmetric coverage quantile
     of ``p_sp`` gives the half-width that keeps the no-change false-positive
-    rate at ``1 - p_sp``.  Linear in ``wsd``.
+    rate at ``1 - p_sp``.  Linear in ``wsd``.  An ``estimated`` wSD comes
+    from data, so a coefficient beyond the largest double is then a
+    :class:`DataValidationError`.
     """
     wsd = float(wsd)
     if not math.isfinite(wsd) or wsd < 0.0:
         raise DomainError(f"wsd must be finite and >= 0, got {wsd!r}")
-    z = symmetric_coverage_quantile(p_sp)
-    return RepeatabilityCoefficient(value=z * _SQRT2 * wsd,
+    value = symmetric_coverage_quantile(p_sp) * _SQRT2 * wsd
+    if estimated and math.isinf(value):
+        raise DataValidationError("the repeatability coefficient exceeds the largest double")
+    return RepeatabilityCoefficient(value=value,
                                     target_specificity=p_sp,
                                     estimated=estimated)
 

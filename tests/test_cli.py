@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from repeatkit.cli import (
     build_parser,
     main,
 )
+from repeatkit.errors import DataValidationError
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -517,10 +519,18 @@ class TestEstimate:
          "at least 2 replicates"),
         ("subject_id,replicate_index,value\nA,1,1.7e308\nA,2,-1.7e308\nB,1,1e308\n"
          "B,2,-1e308\n", "exceeds the largest double"),
+        ("subject_id,replicate_index,value\nA,1,1e308\nA,2,-1e308\nB,1,0\nB,2,0\n",
+         "the repeatability coefficient exceeds the largest double"),
+        (b"subject_id,replicate_index,value\nA,2,\xff2\n", "bad.csv: not UTF-8 text"),
+        pytest.param('subject_id,replicate_index,value\n"' + "x" * 200_000 + '",1,2\n',
+                     "bad.csv:2: field larger than field limit", id="oversized-field"),
     ])
     def test_invalid_data_exits_65(self, capsys, tmp_path, content, fragment):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         code, _, err = run(capsys, "estimate", "--csv", str(path))
         assert code == EXIT_DATA
         assert "data error" in err
@@ -607,6 +617,164 @@ class TestEstimate:
         assert payload["inputs"]["measurements"] == len(rows)
         assert one(payload, "degrees_of_freedom") == nu
         assert one(payload, "wsd_hat") == float(f"{math.sqrt(pooled_ss / nu):.10g}")
+
+
+def _reference_read_study(text, source):
+    """Row-by-row reading of a measurement CSV: the behaviour ``_read_study`` keeps."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = list(reader)
+    if not rows:
+        raise DataValidationError(f"{source}: empty file")
+    header, rows = rows[0], rows[1:]
+    expected = ["subject_id", "replicate_index", "value"]
+    if [h.strip() for h in header] != expected:
+        raise DataValidationError(
+            f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
+    if all(not row or (len(row) == 1 and not row[0].strip()) for row in rows):
+        raise DataValidationError(f"{source}: no data rows")
+    # the line each row starts on, from the tokenizer's own line count
+    reader = csv.reader(io.StringIO(text, newline=""))
+    starts = []
+    for _ in reader:
+        starts.append(reader.line_num + 1)
+    sids, values, seen = [], [], set()
+    for row, lineno in zip(rows, starts):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where = f"{source}:{lineno}:"
+        if len(row) != 3:
+            raise DataValidationError(f"{where} expected 3 columns, got {len(row)}")
+        sid = row[0].strip()
+        if not sid:
+            raise DataValidationError(f"{where} empty subject_id")
+        try:
+            idx = int(row[1])
+        except ValueError:
+            raise DataValidationError(f"{where} replicate_index {row[1]!r} is not an integer")
+        if idx < 1:
+            raise DataValidationError(f"{where} replicate_index must be >= 1")
+        try:
+            value = float(row[2])
+        except ValueError:
+            raise DataValidationError(f"{where} value {row[2]!r} is not numeric")
+        if not math.isfinite(value):
+            raise DataValidationError(f"{where} value {row[2]!r} is not finite")
+        if idx >= 2**63:
+            raise DataValidationError(f"{where} replicate_index {row[1]!r} is out of range")
+        if (sid, idx) in seen:
+            raise DataValidationError(
+                f"{where} duplicate (subject_id, replicate_index) = ({sid}, {idx})")
+        seen.add((sid, idx))
+        sids.append(sid)
+        values.append(value)
+    names = list(dict.fromkeys(sids))
+    codes = [names.index(sid) for sid in sids]
+    for k, name in enumerate(names):
+        if codes.count(k) < 2:
+            raise DataValidationError(
+                f"subject {name!r} has {codes.count(k)} measurement(s); "
+                "at least 2 replicates are required")
+    return names, codes, values
+
+
+def _outcome(read, *args):
+    try:
+        names, codes, values = read(*args)
+    except DataValidationError as e:
+        return str(e)
+    return names, list(codes), [float(v).hex() for v in values]
+
+
+# ids with embedded commas, quotes, line breaks and padding; " A" and "A " strip to "A"
+_SIDS = ["A", "B", "S000001", "x,y", 'say "hi"', "p\nq", "r\r\ns", "t\ru", " A", "A ", "é"]
+_BAD_CELLS = [
+    (0, ""), (0, "   "),
+    (1, "0"), (1, "-2"), (1, "x"), (1, "1.5"), (1, ""), (1, " 2 "),
+    (1, "9223372036854775807"), (1, "9223372036854775808"), (1, "-9223372036854775809"),
+    (2, "nan"), (2, "inf"), (2, "-inf"), (2, "1e999"), (2, "abc"), (2, ""), (2, " 3.5 "),
+]
+
+
+@st.composite
+def _study_text(draw):
+    rows = []
+    for sid in draw(st.lists(st.sampled_from(_SIDS), min_size=1, max_size=5, unique=True)):
+        # now and then a subject measured once
+        for j in range(draw(st.sampled_from([1, 2, 2, 2, 3, 3, 4, 4]))):
+            value = draw(st.floats(allow_nan=False, allow_infinity=False))
+            rows.append([sid, str(j + 1), repr(value)])
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(["blank", "blank", "cell", "duplicate", "short", "long"]))
+        k = draw(st.integers(0, len(rows) - 1))
+        if kind == "blank":
+            rows.insert(k, draw(st.sampled_from([[], [""], ["  "], ["\t"]])))
+        elif kind == "cell" and len(rows[k]) == 3:
+            col, cell = draw(st.sampled_from(_BAD_CELLS))
+            rows[k] = rows[k][:col] + [cell] + rows[k][col + 1:]
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
+        elif kind == "short":
+            rows[k] = rows[k][:-1]
+        else:
+            rows[k] = rows[k] + ["extra"]
+    buf = io.StringIO()
+    # a lone CR inside an id is quoted only under QUOTE_ALL or a CR line end
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(draw(st.sampled_from(
+        [["subject_id", "replicate_index", "value"]] * 6
+        + [[" subject_id", "replicate_index ", "value"], ["id", "replicate_index", "value"]])))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+class TestReadStudy:
+    @given(text=_study_text())
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_matches_row_by_row_reference(self, text):
+        # the same ids, codes and bit-identical values, or the same error message
+        assert _outcome(cli._read_study, io.StringIO(text, newline=""), "s.csv") == \
+            _outcome(_reference_read_study, text, "s.csv")
+
+    @pytest.mark.parametrize("header,fragment", [
+        ("subject_id,replicate_index,value", "s.csv: not UTF-8 text"),
+        ("id,replicate_index,value", "header must be"),
+    ])
+    def test_decodes_in_file_order(self, tmp_path, header, fragment):
+        # the bad byte lies far past the header, in a later decoded chunk
+        path = tmp_path / "s.csv"
+        path.write_bytes(header.encode() + b"\n" + b"A,1,2\nA,2,3\n" * 20_000 + b"B,1,\xff\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            with pytest.raises(DataValidationError, match=fragment):
+                cli._read_study(fh, "s.csv")
+
+    def test_memory_per_row(self, tmp_path):
+        # a registry-sized study shaped like the benchmark's: S%06d ids, 2 to 5
+        # replicates per subject, shuffled rows and repr floats
+        rng = np.random.default_rng(11)
+        rows = 200_000
+        counts = rng.integers(2, 6, rows // 3)
+        counts = counts[:np.searchsorted(np.cumsum(counts), rows - 5)]
+        counts = np.append(counts, rows - counts.sum())
+        codes = np.repeat(np.arange(counts.size), counts)
+        reps = np.arange(rows) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        values = (rng.normal(100.0, 15.0, counts.size)[codes]
+                  + 2.0 * rng.standard_normal(rows)).tolist()
+        labels = [f"S{i:06d}" for i in rng.permutation(counts.size)]
+        path = tmp_path / "registry.csv"
+        path.write_text("subject_id,replicate_index,value\n" + "".join(
+            f"{labels[codes[i]]},{reps[i]},{values[i]!r}\n"
+            for i in rng.permutation(rows).tolist()))
+        tracemalloc.start()
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                _, got, _ = cli._read_study(fh, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.size == rows
+        assert peak <= 290 * rows, peak / rows
 
 
 class TestTables:

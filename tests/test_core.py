@@ -206,6 +206,13 @@ class TestRepeatabilityCoefficient:
     def test_zero_wsd_gives_zero(self):
         assert repeatability_coefficient(0.0, 0.95).value == 0.0
 
+    def test_overflow_of_an_estimate_is_a_data_error(self):
+        # a known wSD is an argument; an estimated one is a property of the data
+        with pytest.raises(DomainError):
+            repeatability_coefficient(1e308, 0.95)
+        with pytest.raises(DataValidationError, match="largest double"):
+            WsdEstimate(wsd_hat=1e308, nu=10).repeatability_coefficient(0.95)
+
 
 class TestDecideChange:
     def test_strictly_outside_flags_change(self):
