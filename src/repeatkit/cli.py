@@ -549,7 +549,12 @@ def _check_rows(rows: list[list[str]], source: str, first_line: int) -> None:
 def cmd_estimate(args) -> ReportEnvelope:
     source = args.csv
     if source == "-":
-        names, codes, values = _read_study(sys.stdin, "<stdin>")
+        # decoded like a file; detached after, so stdin itself stays open
+        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+        try:
+            names, codes, values = _read_study(stream, "<stdin>")
+        finally:
+            stream.detach()
     else:
         try:
             with open(source, newline="", encoding="utf-8") as fh:

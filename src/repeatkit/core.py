@@ -12,8 +12,9 @@ It also carries the sampling law of the normalized estimation error
 freedom, ``nu * W**2`` is chi-square distributed with ``nu`` degrees of
 freedom, and ``W`` is asymptotically normal with mean 1 and variance
 ``1/(2 nu)``.  :class:`MethodChoice` picks one of the two; the density,
-CDF and quantile of ``W`` live here, and every confidence statement and
-worst-case bound downstream is one call into them.
+CDF and quantile of ``W`` live here, computed from ``scipy.special``
+directly, and every confidence statement and worst-case bound downstream
+is one call into them.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammainccinv
+from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln, xlogy
 
 from .errors import DataValidationError, DomainError
 from .numerics import (
     check_degrees_of_freedom,
     check_probability,
-    chisq_cdf,
-    chisq_pdf,
-    chisq_quantile,
     normal_cdf,
     normal_quantile,
 )
@@ -55,6 +53,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG2 = math.log(2.0)
 
 # Below this many pooled degrees of freedom the large-sample normal forms are
 # unreliable; estimation still proceeds, but with a warning.
@@ -307,30 +306,68 @@ def _as_method(method) -> MethodChoice:
             f"{[m.value for m in MethodChoice]}, got {method!r}") from None
 
 
+def _check_ratio(w):
+    """Validate a ratio ``w`` (float, or ndarray elementwise): finite and > 0."""
+    if isinstance(w, np.ndarray):
+        if w.size and (not np.all(np.isfinite(w)) or not np.all(w > 0.0)):
+            raise DomainError("ratio w must be finite and > 0 elementwise")
+        return w
+    w = float(w)
+    if not math.isfinite(w) or w <= 0.0:
+        raise DomainError(f"ratio w must be finite and > 0, got {w!r}")
+    return w
+
+
+def _log_chi2_pdf(x: float, nu: int) -> float:
+    # log of the chi-square(nu) density at finite x > 0
+    a = 0.5 * nu
+    return float(xlogy(a - 1.0, x) - 0.5 * x - a * _LOG2 - gammaln(a))
+
+
+def _ratio_log_density(w: float, nu: int) -> float:
+    """Log density of ``W`` at a checked ``w``; -inf where ``nu w^2`` overflows.
+
+    Stays finite where :func:`ratio_density_exact` underflows, e.g. far in
+    the tails at ``nu ~ 1e6``.
+    """
+    x = nu * w * w
+    if not math.isfinite(x):
+        return -math.inf
+    return _log_chi2_pdf(x, nu) + math.log(2.0 * w * nu)
+
+
 def ratio_density_exact(w: float, nu: int) -> float:
     """Density of ``W = wsd_hat / w_SD`` at ``w > 0``: chi-square transformed.
 
-    ``nu * W^2`` is chi-square(``nu``), so ``f_W(w) = f_chi2(nu w^2) * 2 w nu``.
+    ``nu * W^2`` is chi-square(``nu``), so ``f_W(w) = f_chi2(nu w^2) * 2 w nu``,
+    with ``f_chi2`` evaluated in log space; 0 where ``nu w^2`` overflows.
+    Where ``nu w^2`` underflows to 0, ``f_chi2(0)`` is inf at ``nu = 1``,
+    0.5 at ``nu = 2`` and 0 above.
     """
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0:
-        raise DomainError(f"ratio w must be positive and finite, got {w!r}")
-    return chisq_pdf(nu * w * w, nu) * 2.0 * w * nu
+    w = _check_ratio(w)
+    nu = check_degrees_of_freedom(nu)
+    x = nu * w * w
+    if not math.isfinite(x):
+        return 0.0
+    if x == 0.0:
+        pdf = math.inf if nu == 1 else 0.5 if nu == 2 else 0.0
+    else:
+        pdf = math.exp(_log_chi2_pdf(x, nu))
+    return pdf * 2.0 * w * nu
 
 
 def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
     """``P[W <= w]`` at ``w > 0`` for ``nu`` degrees of freedom.
 
-    The chi-square CDF at ``nu w^2`` exactly (1 where that overflows), or
+    The chi-square CDF at ``x = nu w^2`` exactly, the regularized lower
+    incomplete gamma function ``P(nu/2, x/2)`` (1 where ``x`` overflows), or
     ``Phi((w - 1) sqrt(2 nu))`` asymptotically.
     """
     nu = check_degrees_of_freedom(nu)
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0:
-        raise DomainError(f"ratio w must be positive and finite, got {w!r}")
+    w = _check_ratio(w)
     if _as_method(method) is MethodChoice.EXACT:
         x = nu * w * w
-        return chisq_cdf(x, nu) if math.isfinite(x) else 1.0
+        return float(gammainc(0.5 * nu, 0.5 * x)) if math.isfinite(x) else 1.0
     return normal_cdf((w - 1.0) * math.sqrt(2.0 * nu))
 
 
@@ -342,7 +379,8 @@ def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT)
     """
     nu = check_degrees_of_freedom(nu)
     if _as_method(method) is MethodChoice.EXACT:
-        return math.sqrt(chisq_quantile(q, nu) / nu)
+        q = check_probability(q, "p")
+        return math.sqrt(2.0 * float(gammaincinv(0.5 * nu, q)) / nu)
     w = 1.0 + normal_quantile(q) / math.sqrt(2.0 * nu)
     if w <= 0.0:
         raise DomainError(

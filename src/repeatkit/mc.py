@@ -153,8 +153,8 @@ class EmpiricalDistribution:
         samples.flags.writeable = False
         mean = float(np.mean(samples))
         sd = float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0
-        quantiles = tuple(
-            (q, float(np.quantile(samples, q))) for q in QUANTILE_PROBES)
+        quantiles = tuple(zip(QUANTILE_PROBES,
+                              np.quantile(samples, QUANTILE_PROBES).tolist()))
         return cls(samples=samples, mean=mean, sd=sd, quantiles=quantiles,
                    mc_standard_error_of_mean=sd / math.sqrt(samples.size))
 

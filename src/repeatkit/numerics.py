@@ -1,13 +1,13 @@
-"""Numerical kernels: normal and chi-square distributions, integer search.
+"""Numerical kernels: argument checks, the normal distribution, integer search.
 
-Everything downstream (repeatability coefficients, effective operating
-characteristics, sample sizes) reduces to three primitives exposed here: the
-standard normal CDF/quantile pair, the chi-square CDF/quantile pair, and a
-monotone integer search.  The distribution functions validate their
-arguments and delegate to ``scipy.special`` (``erfc``, ``ndtri``,
-``gammainc``, ``gammaincinv``, ``gammaln``).  They are scalar-first;
-``normal_cdf`` and ``normal_quantile`` also accept numpy arrays because the
-simulation code transforms large uniform batches through them.
+Three primitives live here: the checks of a probability and of a
+degrees-of-freedom count, the standard normal CDF/quantile pair, and the
+monotone integer search behind every exact sample size.  The normal pair
+validates its arguments and delegates to ``scipy.special`` (``erfc``,
+``ndtri``); it is scalar-first and also accepts numpy arrays because the
+simulation code transforms large uniform batches through it.  The
+chi-square law of the estimation-error ratio lives in :mod:`repeatkit.core`,
+which calls ``scipy.special`` for it directly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc as _erfc_arr, gammainc, gammaincinv, gammaln, ndtri, xlogy
+from scipy.special import erfc as _erfc_arr, ndtri
 
 from .errors import DomainError, InfeasibleError
 
@@ -25,16 +25,11 @@ __all__ = [
     "check_degrees_of_freedom",
     "normal_cdf",
     "normal_quantile",
-    "chisq_pdf",
-    "chisq_log_pdf",
-    "chisq_cdf",
-    "chisq_quantile",
     "min_integer_satisfying",
     "MAX_SUBJECTS",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,65 +114,6 @@ def normal_quantile(p, out=None):
 
 
 # ---------------------------------------------------------------------------
-# chi-square distribution
-# ---------------------------------------------------------------------------
-
-def chisq_log_pdf(x: float, nu: int) -> float:
-    """Log of the chi-square density with ``nu`` degrees of freedom, ``x > 0``.
-
-    Stays finite where :func:`chisq_pdf` underflows, e.g. far in the tails
-    at ``nu ~ 1e6``.
-    """
-    nu = check_degrees_of_freedom(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"chisq_log_pdf requires finite x > 0, got {x!r}")
-    a = 0.5 * nu
-    return float(xlogy(a - 1.0, x) - 0.5 * x - a * _LOG2 - gammaln(a))
-
-
-def chisq_pdf(x: float, nu: int) -> float:
-    """Chi-square density with ``nu`` degrees of freedom at ``x >= 0``.
-
-    Evaluated in log space, so it stays finite for ``nu`` up to at least
-    1e6.  At ``x = 0`` the density is 0.5 for ``nu = 2``, diverges for
-    ``nu = 1``, and vanishes for ``nu > 2``.
-    """
-    nu = check_degrees_of_freedom(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"chisq_pdf requires finite x >= 0, got {x!r}")
-    if x == 0.0:
-        if nu == 1:
-            return math.inf
-        return 0.5 if nu == 2 else 0.0
-    return math.exp(chisq_log_pdf(x, nu))
-
-
-def chisq_cdf(x: float, nu: int) -> float:
-    """Chi-square CDF ``P[X <= x]`` with ``nu`` degrees of freedom.
-
-    The regularized lower incomplete gamma function ``P(nu/2, x/2)``
-    (``scipy.special.gammainc``).
-    """
-    nu = check_degrees_of_freedom(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"chisq_cdf requires finite x >= 0, got {x!r}")
-    return float(gammainc(0.5 * nu, 0.5 * x))
-
-
-def chisq_quantile(p: float, nu: int) -> float:
-    """Chi-square quantile: the ``x`` with ``chisq_cdf(x, nu) = p``.
-
-    ``2 * gammaincinv(nu/2, p)``, the inverse of :func:`chisq_cdf`.
-    """
-    nu = check_degrees_of_freedom(nu)
-    p = check_probability(p, "p")
-    return 2.0 * float(gammaincinv(0.5 * nu, p))
-
-
-# ---------------------------------------------------------------------------
 # monotone integer search
 # ---------------------------------------------------------------------------
 
@@ -203,50 +139,33 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
     if start_hint < 1:
         raise DomainError(f"start_hint must be >= 1, got {start_hint}")
 
-    cache: dict[int, bool] = {}
-
-    def check(n: int) -> bool:
-        if n not in cache:
-            cache[n] = bool(predicate(n))
-        return cache[n]
-
     hint = min(int(start_hint), MAX_SUBJECTS)
-    if check(hint):
+    step = 1
+    if predicate(hint):
         # walk down for the false side of the bracket
-        hi = hint
-        lo = 0
-        step = 1
+        lo, hi = 0, hint
         while hi > 1:
             cand = max(1, hi - step)
-            if check(cand):
-                hi = cand
-                step *= 2
-            else:
+            if not predicate(cand):
                 lo = cand
                 break
-        else:
-            return hi
-        if hi == 1:
-            return 1
+            hi = cand
+            step *= 2
     else:
         # walk up for the true side of the bracket
         lo = hint
-        step = 1
-        hi = 0
-        while True:
-            cand = min(MAX_SUBJECTS, hint + step)
-            if check(cand):
-                hi = cand
+        while lo < MAX_SUBJECTS:
+            hi = min(MAX_SUBJECTS, hint + step)
+            if predicate(hi):
                 break
-            lo = cand
-            if cand >= MAX_SUBJECTS:
-                raise InfeasibleError(
-                    f"predicate still false at n={MAX_SUBJECTS}")
+            lo = hi
             step *= 2
+        else:
+            raise InfeasibleError(f"predicate still false at n={MAX_SUBJECTS}")
 
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if check(mid):
+        if predicate(mid):
             hi = mid
         else:
             lo = mid

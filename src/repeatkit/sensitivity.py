@@ -24,13 +24,13 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import nctdtr
 
 from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_method,
+    _check_ratio,
     _normal_quantile_above,
     ratio_cdf,
     ratio_quantile,
@@ -179,14 +179,7 @@ def effective_sensitivity_given_ratio(
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
-    if isinstance(w, np.ndarray):
-        if w.size and (not np.all(np.isfinite(w)) or not np.all(w > 0.0)):
-            raise DomainError("ratio w must be finite and > 0 elementwise")
-        return _p_ese_raw(z * w, d, approximation)
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0:
-        raise DomainError(f"ratio w must be finite and > 0, got {w!r}")
-    return _p_ese_raw(z * w, d, approximation)
+    return _p_ese_raw(z * _check_ratio(w), d, approximation)
 
 
 def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,

@@ -20,14 +20,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import stdtr
 
 from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_method,
+    _check_ratio,
     _normal_quantile_above,
+    _ratio_log_density,
     _ratio_quantile_above,
     ratio_cdf,
     symmetric_coverage_quantile,
@@ -36,7 +37,6 @@ from .numerics import (
     MAX_SUBJECTS,
     check_degrees_of_freedom,
     check_probability,
-    chisq_log_pdf,
     min_integer_satisfying,
     normal_cdf,
 )
@@ -92,14 +92,7 @@ def effective_specificity_given_ratio(w, p_sp: float = 0.95):
         ``w = 1``.
     """
     z = symmetric_coverage_quantile(p_sp)
-    if isinstance(w, np.ndarray):
-        if w.size and (not np.all(np.isfinite(w)) or not np.all(w > 0.0)):
-            raise DomainError("ratio w must be finite and > 0 elementwise")
-        return _p_esp_raw(z * w)
-    w = float(w)
-    if not math.isfinite(w) or w <= 0.0:
-        raise DomainError(f"ratio w must be finite and > 0, got {w!r}")
-    return _p_esp_raw(z * w)
+    return _p_esp_raw(z * _check_ratio(w))
 
 
 def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
@@ -114,13 +107,8 @@ def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
     nu = check_degrees_of_freedom(nu)
     z = symmetric_coverage_quantile(p_sp)
     y = symmetric_coverage_quantile(p)  # z * w at the preimage
-    w = y / z
-    x = nu * w * w
-    if not math.isfinite(x):
-        return 0.0  # the chi-square density vanishes as its argument grows
-    log_ratio_density = chisq_log_pdf(x, nu) + math.log(2.0 * w * nu)
     log_slope = math.log(2.0 * z) - 0.5 * y * y - _LOG_SQRT_2PI
-    return math.exp(log_ratio_density - log_slope)
+    return math.exp(_ratio_log_density(y / z, nu) - log_slope)
 
 
 def expected_effective_specificity(nu: int, p_sp: float = 0.95,

@@ -16,14 +16,9 @@ import numpy as np
 from scipy import integrate
 
 from repeatkit.cli import main
-from repeatkit.core import ratio_density_exact
+from repeatkit.core import ratio_cdf, ratio_density_exact, ratio_quantile
 from repeatkit.mc import EmpiricalDistribution, SimulationConfig, simulate_study
-from repeatkit.numerics import (
-    chisq_cdf,
-    chisq_quantile,
-    normal_cdf,
-    normal_quantile,
-)
+from repeatkit.numerics import normal_cdf, normal_quantile
 from repeatkit.sensitivity import (
     SensitivityApproximation,
     effective_sensitivity_given_ratio,
@@ -305,12 +300,13 @@ def test_criterion_11_numeric_kernels(acceptance_report):
     for p in np.linspace(0.001, 0.999, 997):
         ok = ok and abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
     for x in (0.1, 1.0, 2.5, 7.0, 31.4):
-        ok = ok and abs(chisq_cdf(x, 2) - (-math.expm1(-x / 2.0))) <= 1e-12
+        # P[chi-square(2) <= x] = P[W <= sqrt(x/2)] at nu = 2
+        ok = ok and abs(ratio_cdf(math.sqrt(x / 2.0), 2) - (-math.expm1(-x / 2.0))) <= 1e-12
     # the density of W at nu = 139 over the support leaving 1e-14 of
     # chi-square mass in each tail
     nu = 139
-    lo = math.sqrt(chisq_quantile(1e-14, nu) / nu)
-    hi = math.sqrt(chisq_quantile(1.0 - 1e-14, nu) / nu)
+    lo = ratio_quantile(1e-14, nu)
+    hi = ratio_quantile(1.0 - 1e-14, nu)
     total, _ = integrate.quad(lambda w: ratio_density_exact(w, nu), lo, hi)
     ok = ok and abs(total - 1.0) <= 1e-9
     acceptance_report(

@@ -483,10 +483,26 @@ class TestEstimate:
         assert any("degrees of freedom" in w for w in payload["warnings"])
 
     def test_reads_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(FIXTURE_CSV))
+        stdin = io.TextIOWrapper(io.BytesIO(FIXTURE_CSV.encode()))
+        monkeypatch.setattr(sys, "stdin", stdin)
         payload = run_json(capsys, "estimate", "--csv", "-")
         assert payload["inputs"]["csv"] == "-"
         assert one(payload, "wsd_hat") == pytest.approx(1.825741858, abs=1e-8)
+        assert not stdin.buffer.closed
+
+    @pytest.mark.parametrize("content", [
+        b"subject_id,replicate_index,value\nA\xff,1,2\nA\xff,2,3\nB,1,1\nB,2,1\n",
+        b"subject_id,replicate_index,value\rA,1,2\rA,2,3\rB,1,1\rB,2,1\r",
+    ], ids=["not-utf8", "cr-line-ends"])
+    def test_stdin_reads_like_a_file(self, capsys, tmp_path, content):
+        # the interpreter's own stdin, not a stand-in for it
+        path = tmp_path / "study.csv"
+        path.write_bytes(content)
+        file_code, _, file_err = run(capsys, "estimate", "--csv", str(path))
+        proc = subprocess.run([sys.executable, "-m", "repeatkit", "estimate", "--csv", "-"],
+                              input=content, capture_output=True)
+        assert (proc.returncode, proc.stderr.decode()) == \
+            (file_code, file_err.replace(str(path), "<stdin>"))
 
     def test_constant_data_warns_twice(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

@@ -22,8 +22,8 @@ from repeatkit.core import (
     symmetric_coverage_quantile,
 )
 from repeatkit.core import TestRetestData as RetestData
+from repeatkit.core import _ratio_log_density
 from repeatkit.errors import DataValidationError, DomainError
-from repeatkit.numerics import chisq_quantile
 
 Z_95 = 1.9599639845400536
 
@@ -237,24 +237,60 @@ class TestRatioDensities:
     @pytest.mark.parametrize("nu", [1, 2, 5, 35, 139])
     def test_exact_density_normalizes(self, nu):
         # support leaving 1e-14 of chi-square mass in each tail
-        lo = math.sqrt(chisq_quantile(1e-14, nu) / nu)
-        hi = math.sqrt(chisq_quantile(1.0 - 1e-14, nu) / nu)
+        lo = ratio_quantile(1e-14, nu)
+        hi = ratio_quantile(1.0 - 1e-14, nu)
         mass, _ = integrate.quad(lambda w: ratio_density_exact(w, nu), lo, hi)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_exact_density_mean_near_one(self):
         nu = 139
-        lo = math.sqrt(chisq_quantile(1e-14, nu) / nu)
-        hi = math.sqrt(chisq_quantile(1.0 - 1e-14, nu) / nu)
+        lo = ratio_quantile(1e-14, nu)
+        hi = ratio_quantile(1.0 - 1e-14, nu)
         mean, _ = integrate.quad(lambda w: w * ratio_density_exact(w, nu), lo, hi)
         # E[W] = sqrt(2/nu) Gamma((nu+1)/2) / Gamma(nu/2), slightly below 1
         assert 0.99 < mean < 1.0
+
+    def test_exact_density_against_chi_square(self):
+        for nu in (1, 2, 4, 15, 139):
+            for x in (0.2, 1.0, nu * 0.8, nu * 1.0, nu * 2.0):
+                w = math.sqrt(x / nu)
+                want = stats.chi2.pdf(nu * w * w, nu) * 2.0 * w * nu
+                assert ratio_density_exact(w, nu) == pytest.approx(want, rel=1e-12)
+
+    def test_log_density_against_chi_square(self):
+        for nu in (2, 10, 139, 10**6):
+            for frac in (0.5, 1.0, 1.8):
+                w = math.sqrt(frac)
+                want = stats.chi2.logpdf(nu * w * w, nu) + math.log(2.0 * w * nu)
+                assert _ratio_log_density(w, nu) == pytest.approx(want, rel=1e-11, abs=1e-9)
+
+    def test_log_density_deep_tail_stays_finite(self):
+        # far tails underflow the density but the log form must survive
+        w = math.sqrt(5.0 / 10**6)
+        assert ratio_density_exact(w, 10**6) == 0.0
+        val = _ratio_log_density(w, 10**6)
+        assert math.isfinite(val) and val < -1e5
+
+    def test_exact_density_where_square_underflows(self):
+        # nu w^2 rounds to 0: the chi-square density there is inf at nu = 1,
+        # 0.5 at nu = 2 and 0 above
+        w = 1e-200
+        assert ratio_density_exact(w, 1) == math.inf
+        assert ratio_density_exact(w, 2) == pytest.approx(0.5 * 2.0 * w * 2)
+        assert ratio_density_exact(w, 3) == 0.0
+
+    @pytest.mark.parametrize("w", [1e200, 1e300])
+    def test_exact_density_vanishes_where_square_overflows(self, w):
+        assert ratio_density_exact(w, 5) == 0.0
+        assert _ratio_log_density(w, 5) == -math.inf
 
     def test_exact_density_rejects_nonpositive_w(self):
         with pytest.raises(DomainError):
             ratio_density_exact(0.0, 10)
         with pytest.raises(DomainError):
             ratio_density_exact(-0.5, 10)
+        with pytest.raises(DomainError):
+            ratio_density_exact(1.0, 0)
 
 
 NUS = [1, 2, 10, 139, 10**6]
@@ -298,8 +334,68 @@ class TestRatioLaw:
             assert ratio_quantile(ratio_cdf(w, nu, method), nu, method) == \
                 pytest.approx(w, rel=1e-9)
 
+    def test_cdf_against_chi_square_grid(self):
+        for nu in (1, 2, 3, 5, 10, 35, 139, 1000, 250000):
+            for frac in (0.1, 0.5, 0.9, 1.0, 1.5, 3.0):
+                w = math.sqrt(frac)
+                want = stats.chi2.cdf(nu * w * w, nu)
+                assert ratio_cdf(w, nu) == pytest.approx(want, rel=1e-12, abs=1e-280)
+
+    def test_cdf_nu_2_closed_form(self):
+        # nu * W**2 is exponential at nu = 2, a direct analytic cross-check
+        for x in (0.01, 0.5, 1.0, 2.0, 5.0, 20.0, 80.0):
+            assert ratio_cdf(math.sqrt(x / 2.0), 2) == pytest.approx(
+                -math.expm1(-x / 2), rel=1e-12)
+
+    @given(st.floats(min_value=0.01, max_value=500.0),
+           st.integers(min_value=1, max_value=300))
+    @settings(max_examples=150, deadline=None)
+    def test_cdf_matches_chi_square_property(self, x, nu):
+        # extreme lower tails (masses below 1e-100) agree to ~1e-10 relative
+        w = math.sqrt(x / nu)
+        assert ratio_cdf(w, nu) == pytest.approx(
+            stats.chi2.cdf(nu * w * w, nu), rel=2e-10, abs=1e-280)
+
+    def test_cdf_vanishes_where_square_underflows(self):
+        assert ratio_cdf(1e-200, 5) == 0.0
+
     def test_overflowing_square_is_certain(self):
         assert ratio_cdf(1e300, 5, MethodChoice.EXACT) == 1.0
+
+    def test_quantile_against_chi_square(self):
+        for nu in (1, 2, 5, 35, 139, 10**6):
+            for q in (1e-10, 0.01, 0.05, 0.5, 0.95, 0.99):
+                w = ratio_quantile(q, nu)
+                assert nu * w * w == pytest.approx(stats.chi2.ppf(q, nu), rel=1e-10)
+
+    def test_quantile_extreme_upper_tail_self_consistent(self):
+        # past q ~ 1 - 1e-10 the quantile is resolution-limited by ulp(1) in
+        # cdf space; the defining equation still has to hold exactly
+        for nu in (1, 35, 139):
+            w = ratio_quantile(1 - 1e-10, nu)
+            assert ratio_cdf(w, nu) == pytest.approx(1 - 1e-10, rel=1e-12)
+            assert nu * w * w == pytest.approx(stats.chi2.ppf(1 - 1e-10, nu), rel=1e-6)
+
+    def test_exact_quantile_roundtrip(self):
+        for nu in (3, 54, 139):
+            for q in (0.001, 0.05, 0.5, 0.95, 0.999):
+                assert ratio_cdf(ratio_quantile(q, nu), nu) == pytest.approx(
+                    q, rel=1e-11, abs=1e-12)
+
+    @given(st.floats(min_value=1e-8, max_value=1 - 1e-8),
+           st.integers(min_value=1, max_value=10000))
+    @settings(max_examples=150, deadline=None)
+    def test_quantile_inverse_property(self, q, nu):
+        w = ratio_quantile(q, nu)
+        assert ratio_cdf(w, nu) == pytest.approx(q, rel=1e-9, abs=1e-11)
+
+    def test_quantile_tiny_probability(self):
+        assert ratio_quantile(1e-300, 7) > 0.0
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_quantile_rejects_boundary(self, q):
+        with pytest.raises(DomainError):
+            ratio_quantile(q, 7)
 
     def test_accepts_method_names(self):
         assert ratio_cdf(1.1, 10, "asymptotic") == ratio_cdf(
@@ -315,3 +411,8 @@ class TestRatioLaw:
             ratio_cdf(1.0, 10, "bogus")
         with pytest.raises(DomainError):
             ratio_quantile(0.5, 0)
+        # degrees of freedom come from designs, so only integers are accepted
+        with pytest.raises(DomainError):
+            ratio_cdf(1.0, 2.5)
+        with pytest.raises(DomainError):
+            ratio_cdf(1.0, 0)

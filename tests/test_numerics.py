@@ -1,6 +1,7 @@
-"""Numerical kernel tests against mpmath and scipy oracles."""
+"""Numerical kernel tests against mpmath and scipy oracles.
 
-import math
+The chi-square law of W is tested in ``test_core.py``.
+"""
 
 import mpmath as mp
 import numpy as np
@@ -9,15 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repeatkit.errors import DomainError
-from repeatkit.numerics import (
-    chisq_cdf,
-    chisq_log_pdf,
-    chisq_pdf,
-    chisq_quantile,
-    min_integer_satisfying,
-    normal_cdf,
-    normal_quantile,
-)
+from repeatkit.numerics import min_integer_satisfying, normal_cdf, normal_quantile
 
 mp.mp.dps = 50
 
@@ -95,108 +88,6 @@ class TestNormalQuantile:
         assert normal_cdf(normal_quantile(p)) == pytest.approx(p, rel=1e-11, abs=1e-13)
 
 
-class TestChisqCdf:
-    def test_against_scipy_grid(self):
-        for nu in (1, 2, 3, 5, 10, 35, 139, 1000, 250000):
-            for frac in (0.1, 0.5, 0.9, 1.0, 1.5, 3.0):
-                x = nu * frac
-                want = stats.chi2.cdf(x, nu)
-                assert chisq_cdf(x, nu) == pytest.approx(want, rel=1e-12, abs=1e-280)
-
-    def test_nu_2_closed_form(self):
-        # exponential special case, a direct analytic cross-check
-        for x in (0.01, 0.5, 1.0, 2.0, 5.0, 20.0, 80.0):
-            assert chisq_cdf(x, 2) == pytest.approx(-math.expm1(-x / 2), rel=1e-12)
-
-    def test_at_zero(self):
-        assert chisq_cdf(0.0, 5) == 0.0
-
-    def test_rejects_fractional_nu(self):
-        # degrees of freedom come from designs, so only integers are accepted
-        with pytest.raises(DomainError):
-            chisq_cdf(1.3, 2.5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            chisq_cdf(-1.0, 5)
-        with pytest.raises(DomainError):
-            chisq_cdf(1.0, 0)
-
-    @given(st.floats(min_value=0.01, max_value=500.0),
-           st.integers(min_value=1, max_value=300))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_scipy_property(self, x, nu):
-        # extreme lower tails (masses below 1e-100) agree to ~1e-10 relative
-        assert chisq_cdf(x, nu) == pytest.approx(
-            stats.chi2.cdf(x, nu), rel=2e-10, abs=1e-280)
-
-
-class TestChisqPdf:
-    def test_against_scipy(self):
-        for nu in (1, 2, 4, 15, 139):
-            for x in (0.2, 1.0, nu * 0.8, nu * 1.0, nu * 2.0):
-                assert chisq_pdf(x, nu) == pytest.approx(
-                    stats.chi2.pdf(x, nu), rel=1e-12)
-
-    def test_log_pdf_against_scipy(self):
-        for nu in (2, 10, 139, 10**6):
-            for frac in (0.5, 1.0, 1.8):
-                x = nu * frac
-                assert chisq_log_pdf(x, nu) == pytest.approx(
-                    stats.chi2.logpdf(x, nu), rel=1e-11, abs=1e-9)
-
-    def test_log_pdf_deep_tail_stays_finite(self):
-        # far tails underflow chisq_pdf but the log form must survive
-        val = chisq_log_pdf(5.0, 10**6)
-        assert math.isfinite(val) and val < -1e5
-
-    def test_at_zero_edge(self):
-        assert chisq_pdf(0.0, 1) == math.inf
-        assert chisq_pdf(0.0, 2) == pytest.approx(0.5)
-        assert chisq_pdf(0.0, 3) == 0.0
-
-    def test_log_pdf_rejects_zero(self):
-        with pytest.raises(DomainError):
-            chisq_log_pdf(0.0, 5)
-
-
-class TestChisqQuantile:
-    def test_against_scipy(self):
-        for nu in (1, 2, 5, 35, 139, 10**6):
-            for p in (1e-10, 0.01, 0.05, 0.5, 0.95, 0.99):
-                want = stats.chi2.ppf(p, nu)
-                assert chisq_quantile(p, nu) == pytest.approx(want, rel=1e-10)
-
-    def test_extreme_upper_tail_self_consistent(self):
-        # past p ~ 1 - 1e-10 the quantile is resolution-limited by ulp(1) in
-        # cdf space; the defining equation still has to hold exactly
-        for nu in (1, 35, 139):
-            x = chisq_quantile(1 - 1e-10, nu)
-            assert chisq_cdf(x, nu) == pytest.approx(1 - 1e-10, rel=1e-12)
-            assert x == pytest.approx(stats.chi2.ppf(1 - 1e-10, nu), rel=1e-6)
-
-    def test_roundtrip(self):
-        for nu in (3, 54, 139):
-            for p in (0.001, 0.05, 0.5, 0.95, 0.999):
-                assert chisq_cdf(chisq_quantile(p, nu), nu) == pytest.approx(
-                    p, rel=1e-11, abs=1e-12)
-
-    def test_tiny_probability(self):
-        assert chisq_quantile(1e-300, 7) > 0.0
-
-    @pytest.mark.parametrize("p", [0.0, 1.0])
-    def test_rejects_boundary(self, p):
-        with pytest.raises(DomainError):
-            chisq_quantile(p, 7)
-
-    @given(st.floats(min_value=1e-8, max_value=1 - 1e-8),
-           st.integers(min_value=1, max_value=10000))
-    @settings(max_examples=150, deadline=None)
-    def test_monotone_inverse_property(self, p, nu):
-        x = chisq_quantile(p, nu)
-        assert chisq_cdf(x, nu) == pytest.approx(p, rel=1e-9, abs=1e-11)
-
-
 class TestMinIntegerSatisfying:
     def test_simple_threshold(self):
         assert min_integer_satisfying(lambda n: n * n >= 50) == 8
@@ -210,8 +101,13 @@ class TestMinIntegerSatisfying:
 
     def test_unreachable_raises(self):
         from repeatkit.errors import InfeasibleError
+        from repeatkit.numerics import MAX_SUBJECTS
         with pytest.raises(InfeasibleError):
             min_integer_satisfying(lambda n: False)
+        seen = []
+        with pytest.raises(InfeasibleError):
+            min_integer_satisfying(lambda n: seen.append(n) or False, start_hint=MAX_SUBJECTS)
+        assert seen == [MAX_SUBJECTS]
 
     def test_rejects_bad_hint(self):
         with pytest.raises(DomainError):
@@ -221,5 +117,8 @@ class TestMinIntegerSatisfying:
            st.integers(min_value=1, max_value=200000))
     @settings(max_examples=100, deadline=None)
     def test_matches_direct_search_property(self, threshold, hint):
-        got = min_integer_satisfying(lambda n: n >= threshold, start_hint=hint)
+        seen = []
+        got = min_integer_satisfying(lambda n: seen.append(n) or n >= threshold,
+                                     start_hint=hint)
         assert got == threshold
+        assert len(seen) == len(set(seen))  # no n is evaluated twice
