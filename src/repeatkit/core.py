@@ -325,11 +325,12 @@ def _log_chi2_pdf(x: float, nu: int) -> float:
 
 
 def _ratio_log_density(w: float, nu: int) -> float:
-    """Log density of ``W`` at a checked ``w``; -inf where ``nu w^2`` overflows.
+    """Log density of ``W`` at ``w > 0``; -inf where ``nu w^2`` overflows.
 
     Stays finite where :func:`ratio_density_exact` underflows, e.g. far in
     the tails at ``nu ~ 1e6``.
     """
+    w = _check_ratio(w)
     x = nu * w * w
     if not math.isfinite(x):
         return -math.inf

@@ -292,6 +292,10 @@ class TestRatioDensities:
         with pytest.raises(DomainError):
             ratio_density_exact(1.0, 0)
 
+    def test_log_density_rejects_zero(self):
+        with pytest.raises(DomainError):
+            _ratio_log_density(0.0, 5)
+
 
 NUS = [1, 2, 10, 139, 10**6]
 PROBES = [0.01, 0.5, 0.99]
@@ -411,8 +415,14 @@ class TestRatioLaw:
             ratio_cdf(1.0, 10, "bogus")
         with pytest.raises(DomainError):
             ratio_quantile(0.5, 0)
+
+    def test_cdf_rejects_fractional_nu(self):
         # degrees of freedom come from designs, so only integers are accepted
         with pytest.raises(DomainError):
             ratio_cdf(1.0, 2.5)
+
+    def test_cdf_rejects_negative(self):
+        with pytest.raises(DomainError):
+            ratio_cdf(-1.0, 5)
         with pytest.raises(DomainError):
             ratio_cdf(1.0, 0)
