@@ -57,6 +57,7 @@ from .sensitivity import (
     sensitivity_lower_bound,
 )
 from .mc import EmpiricalDistribution, SimulationConfig, simulate_study
+from .numerics import check_probability
 
 __all__ = ["main", "build_parser", "ReportEnvelope"]
 
@@ -547,6 +548,7 @@ def _check_rows(rows: list[list[str]], source: str, first_line: int) -> None:
 
 
 def cmd_estimate(args) -> ReportEnvelope:
+    check_probability(args.psp, "p_sp")
     source = args.csv
     if source == "-":
         # decoded like a file; detached after, so stdin itself stays open

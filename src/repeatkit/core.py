@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln, xlogy
+from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln
 
 from .errors import DataValidationError, DomainError
 from .numerics import (
@@ -295,15 +295,16 @@ class MethodChoice(enum.Enum):
     ASYMPTOTIC = "asymptotic"
 
 
-def _as_method(method) -> MethodChoice:
-    if isinstance(method, MethodChoice):
-        return method
+def _as_choice(enum_cls, value, name: str):
+    """``value`` as a member of ``enum_cls``: the member itself, or its value."""
+    if isinstance(value, enum_cls):
+        return value
     try:
-        return MethodChoice(method)
+        return enum_cls(value)
     except ValueError:
         raise DomainError(
-            f"method must be MethodChoice or one of "
-            f"{[m.value for m in MethodChoice]}, got {method!r}") from None
+            f"{name} must be {enum_cls.__name__} or one of "
+            f"{[c.value for c in enum_cls]}, got {value!r}") from None
 
 
 def _check_ratio(w):
@@ -318,43 +319,24 @@ def _check_ratio(w):
     return w
 
 
-def _log_chi2_pdf(x: float, nu: int) -> float:
-    # log of the chi-square(nu) density at finite x > 0
-    a = 0.5 * nu
-    return float(xlogy(a - 1.0, x) - 0.5 * x - a * _LOG2 - gammaln(a))
-
-
 def _ratio_log_density(w: float, nu: int) -> float:
-    """Log density of ``W`` at ``w > 0``; -inf where ``nu w^2`` overflows.
+    """Log density of ``W`` at ``w > 0``; -inf where ``nu w^2 / 2`` overflows.
 
-    Stays finite where :func:`ratio_density_exact` underflows, e.g. far in
-    the tails at ``nu ~ 1e6``.
+    ``log 2 + a log a - log Gamma(a) + (nu - 1) log w - a w^2`` with
+    ``a = nu/2``; finite where :func:`ratio_density_exact` underflows.
     """
     w = _check_ratio(w)
-    x = nu * w * w
-    if not math.isfinite(x):
-        return -math.inf
-    return _log_chi2_pdf(x, nu) + math.log(2.0 * w * nu)
+    a = 0.5 * nu
+    return (_LOG2 + a * math.log(a) - float(gammaln(a))
+            + (nu - 1) * math.log(w) - a * w * w)
 
 
 def ratio_density_exact(w: float, nu: int) -> float:
-    """Density of ``W = wsd_hat / w_SD`` at ``w > 0``: chi-square transformed.
+    """Density of ``W = wsd_hat / w_SD`` at ``w > 0``: ``f_chi2(nu w^2) * 2 w nu``.
 
-    ``nu * W^2`` is chi-square(``nu``), so ``f_W(w) = f_chi2(nu w^2) * 2 w nu``,
-    with ``f_chi2`` evaluated in log space; 0 where ``nu w^2`` overflows.
-    Where ``nu w^2`` underflows to 0, ``f_chi2(0)`` is inf at ``nu = 1``,
-    0.5 at ``nu = 2`` and 0 above.
+    The exponential of :func:`_ratio_log_density`.
     """
-    w = _check_ratio(w)
-    nu = check_degrees_of_freedom(nu)
-    x = nu * w * w
-    if not math.isfinite(x):
-        return 0.0
-    if x == 0.0:
-        pdf = math.inf if nu == 1 else 0.5 if nu == 2 else 0.0
-    else:
-        pdf = math.exp(_log_chi2_pdf(x, nu))
-    return pdf * 2.0 * w * nu
+    return math.exp(_ratio_log_density(w, check_degrees_of_freedom(nu)))
 
 
 def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
@@ -366,9 +348,8 @@ def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> f
     """
     nu = check_degrees_of_freedom(nu)
     w = _check_ratio(w)
-    if _as_method(method) is MethodChoice.EXACT:
-        x = nu * w * w
-        return float(gammainc(0.5 * nu, 0.5 * x)) if math.isfinite(x) else 1.0
+    if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
+        return float(gammainc(0.5 * nu, 0.5 * (nu * w * w)))
     return normal_cdf((w - 1.0) * math.sqrt(2.0 * nu))
 
 
@@ -379,7 +360,7 @@ def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT)
     or below 0, which happens for small ``nu`` and small ``q``.
     """
     nu = check_degrees_of_freedom(nu)
-    if _as_method(method) is MethodChoice.EXACT:
+    if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
         q = check_probability(q, "p")
         return math.sqrt(2.0 * float(gammaincinv(0.5 * nu, q)) / nu)
     w = 1.0 + normal_quantile(q) / math.sqrt(2.0 * nu)
@@ -401,6 +382,6 @@ def _ratio_quantile_above(p: float, nu: int,
     if 1.0 - p < 1.0:
         return ratio_quantile(1.0 - p, nu, method)
     nu = check_degrees_of_freedom(nu)
-    if _as_method(method) is MethodChoice.EXACT:
+    if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
         return math.sqrt(2.0 * float(gammainccinv(0.5 * nu, p)) / nu)
     return 1.0 - normal_quantile(p) / math.sqrt(2.0 * nu)

@@ -3,11 +3,11 @@
 Three primitives live here: the checks of a probability and of a
 degrees-of-freedom count, the standard normal CDF/quantile pair, and the
 monotone integer search behind every exact sample size.  The normal pair
-validates its arguments and delegates to ``scipy.special`` (``erfc``,
-``ndtri``); it is scalar-first and also accepts numpy arrays because the
-simulation code transforms large uniform batches through it.  The
-chi-square law of the estimation-error ratio lives in :mod:`repeatkit.core`,
-which calls ``scipy.special`` for it directly.
+delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is defined at
+±inf and rejects NaN.  Both are scalar-first and also accept numpy arrays
+because the simulation code transforms large uniform batches through them.
+The chi-square law of the estimation-error ratio lives in
+:mod:`repeatkit.core`, which calls ``scipy.special`` for it directly.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def normal_cdf(x):
     Parameters
     ----------
     x : float or ndarray
-        Finite evaluation point(s).
+        Evaluation point(s); ±inf give 1 and 0, NaN is rejected.
 
     Returns
     -------
@@ -80,12 +80,12 @@ def normal_cdf(x):
         relative precision in the lower tail.
     """
     if isinstance(x, np.ndarray):
-        if not np.isfinite(x).all():
-            raise DomainError("normal_cdf requires finite input")
+        if np.isnan(x).any():
+            raise DomainError("normal_cdf requires input that is not NaN")
         return 0.5 * _erfc_arr(-x / _SQRT2)
     x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"normal_cdf requires finite x, got {x!r}")
+    if math.isnan(x):
+        raise DomainError(f"normal_cdf requires x that is not NaN, got {x!r}")
     return 0.5 * math.erfc(-x / _SQRT2)
 
 

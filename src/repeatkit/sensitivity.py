@@ -29,7 +29,7 @@ from scipy.special import nctdtr
 from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
-    _as_method,
+    _as_choice,
     _check_ratio,
     _normal_quantile_above,
     ratio_cdf,
@@ -70,17 +70,6 @@ class SensitivityApproximation(enum.Enum):
 
     ONE_SIDED_EXCEEDANCE = "one-sided-exceedance"
     FULL_TWO_SIDED = "full-two-sided"
-
-
-def _as_approximation(value) -> SensitivityApproximation:
-    if isinstance(value, SensitivityApproximation):
-        return value
-    try:
-        return SensitivityApproximation(value)
-    except ValueError:
-        raise DomainError(
-            f"approximation must be SensitivityApproximation or one of "
-            f"{[a.value for a in SensitivityApproximation]}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,7 @@ def effective_sensitivity_given_ratio(
         misses changes.  At ``w = 1`` the full form equals
         :func:`sensitivity` exactly.
     """
-    approximation = _as_approximation(approximation)
+    approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
@@ -196,7 +185,7 @@ def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
     rule.
     """
     nu = check_degrees_of_freedom(nu)
-    method = _as_method(method)
+    method = _as_choice(MethodChoice, method, "method")
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
@@ -227,50 +216,44 @@ def _invert_two_sided(target: float, d: float, z: float) -> float:
     """Ratio ``w`` where the full two-sided effective sensitivity hits ``target``.
 
     The map is strictly decreasing in ``w`` (both band edges move outward),
-    so bracketed bisection is safe; refined to 1e-12 in ``w``.
+    so bracketed bisection is safe; refined to 1e-12 in ``w``.  The largest
+    double stands in where no double brings it down to ``target``.
     """
     def value(w):
         return _p_ese_raw(z * w, d, SensitivityApproximation.FULL_TWO_SIDED)
 
-    lo = 1e-12
-    if value(lo) <= target:
-        return lo
-    hi = 1.0
-    for _ in range(2000):
-        if value(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError(
-            f"two-sided effective sensitivity never reaches {target}")
+    lo, hi = 1e-12, 1.0
+    while value(hi) > target:
+        if hi == sys.float_info.max:
+            return hi
+        hi = min(2.0 * hi, sys.float_info.max)
+    # halves summed: the sum of two doubles near the largest would overflow
     while hi - lo > 1e-12 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if value(mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
-def _attainable_sensitivity(eff: EffectSize, p_sp: float,
-                            approximation: SensitivityApproximation) -> float:
-    # the w = 1 sensitivity under the same approximation the computation
-    # will use, so boundary queries fail consistently across methods
+def _ratio_cap(eff: EffectSize, p_sp: float, p_ese_lb: float,
+               approximation: SensitivityApproximation) -> tuple[float, float, float]:
+    # (u, z, d): the ratio W where the effective sensitivity equals p_ese_lb, held
+    # to the largest double, and its z and d; infeasible unless w = 1 exceeds it
     z = symmetric_coverage_quantile(p_sp)
-    return _p_ese_raw(z, eff.delta / _SQRT2, approximation)
-
-
-def _ratio_cap(p_ese_lb: float, d: float, z: float,
-               approximation: SensitivityApproximation) -> float:
-    # the ratio W at which the effective sensitivity equals p_ese_lb
+    d = eff.delta / _SQRT2
+    attainable = _p_ese_raw(z, d, approximation)
+    if attainable <= p_ese_lb:
+        raise InfeasibleError(
+            f"the effective-sensitivity floor {p_ese_lb:g} must lie strictly below "
+            f"the attainable sensitivity p_se(delta={eff.delta:g}) = {attainable:.6f} "
+            f"at p_sp={p_sp:g} under {approximation.value}")
     if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
-        return (_normal_quantile_above(p_ese_lb) + d) / z
-    return _invert_two_sided(p_ese_lb, d, z)
-
-
-def _ratio_cdf_at_cap(u: float, nu: int, method: MethodChoice) -> float:
-    # P[W <= u]; the cap overflows to +inf when z is tiny, and then it is 1
-    return ratio_cdf(u, nu, method) if u < math.inf else 1.0
+        cap = (_normal_quantile_above(p_ese_lb) + d) / z
+    else:
+        cap = _invert_two_sided(p_ese_lb, d, z)
+    return min(cap, sys.float_info.max), z, d
 
 
 def sensitivity_confidence(
@@ -290,19 +273,12 @@ def sensitivity_confidence(
     eff = _as_effect(delta)
     p_ese_lb = check_probability(p_ese_lb, "p_ese_lb")
     nu = check_degrees_of_freedom(nu)
-    approximation = _as_approximation(approximation)
+    approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     if (approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE
             and eff.delta == 0.0):
         raise DomainError("one-sided form requires a nonzero effect size")
-    attainable = _attainable_sensitivity(eff, p_sp, approximation)
-    if attainable <= p_ese_lb:
-        raise InfeasibleError(
-            f"sensitivity at delta={eff.delta:g} and p_sp={p_sp:g} is "
-            f"{attainable:.6f} under {approximation.value}; the lower "
-            f"bound {p_ese_lb:g} must be strictly below it")
-    z = symmetric_coverage_quantile(p_sp)
-    return _ratio_cdf_at_cap(_ratio_cap(p_ese_lb, eff.delta / _SQRT2, z, approximation),
-                             nu, method)
+    u, _, _ = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
+    return ratio_cdf(u, nu, method)
 
 
 def sensitivity_lower_bound(
@@ -317,7 +293,7 @@ def sensitivity_lower_bound(
     :func:`sensitivity_confidence` in the bound argument.
     """
     p_conf = check_probability(p_conf, "p_conf")
-    approximation = _as_approximation(approximation)
+    approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
         raise DomainError("sensitivity_lower_bound requires a nonzero effect size")
@@ -348,25 +324,18 @@ def sample_size_sensitivity(
     p_sp = check_probability(p_sp, "p_sp")
     p_ese_lb = check_probability(p_ese_lb, "p_ese_lb")
     p_conf = check_probability(p_conf, "p_conf")
-    method = _as_method(method)
-    approximation = _as_approximation(approximation)
+    method = _as_choice(MethodChoice, method, "method")
+    approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
         raise DomainError("sample_size_sensitivity requires a nonzero effect size")
 
-    attainable = _attainable_sensitivity(eff, p_sp, approximation)
-    if attainable <= p_ese_lb:
-        raise InfeasibleError(
-            f"no finite sample size achieves an effective-sensitivity floor at "
-            f"or above the attainable sensitivity: p_se(delta={eff.delta:g}) = "
-            f"{attainable:.6f} under {approximation.value}, floor {p_ese_lb:g}")
+    u, z, d = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
     if p_conf <= 0.5:
         warnings.warn(
             f"p_conf={p_conf} is at or below 0.5; the sample-size criterion "
             "degenerates and the closed form is not meaningful", stacklevel=2)
 
-    z = symmetric_coverage_quantile(p_sp)
-    d = eff.delta / _SQRT2
     denom = _normal_quantile_above(p_ese_lb) + d - z
     # denom > 0 is guaranteed when the one-sided feasibility check ran; a
     # two-sided query can be feasible with denom <= 0, where the closed
@@ -377,11 +346,10 @@ def sample_size_sensitivity(
             approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    u = _ratio_cap(p_ese_lb, d, z, approximation)
     hint = max(1, math.ceil(raw)) if math.isfinite(raw) else 1
     try:
         n = min_integer_satisfying(
-            lambda n: _ratio_cdf_at_cap(u, n * (m - 1), method) >= p_conf, start_hint=hint)
+            lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf, start_hint=hint)
     except InfeasibleError:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "

@@ -25,7 +25,7 @@ from scipy.special import stdtr
 from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
-    _as_method,
+    _as_choice,
     _check_ratio,
     _normal_quantile_above,
     _ratio_log_density,
@@ -124,7 +124,7 @@ def expected_effective_specificity(nu: int, p_sp: float = 0.95,
     is the bias introduced by estimating the within-subject SD.
     """
     nu = check_degrees_of_freedom(nu)
-    method = _as_method(method)
+    method = _as_choice(MethodChoice, method, "method")
     z = symmetric_coverage_quantile(p_sp)
     if method is MethodChoice.EXACT:
         mean_phi = float(stdtr(nu, z))
@@ -176,7 +176,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     p_sp = check_probability(p_sp, "p_sp")
     p_esp_lb = check_probability(p_esp_lb, "p_esp_lb")
     p_conf = check_probability(p_conf, "p_conf")
-    method = _as_method(method)
+    method = _as_choice(MethodChoice, method, "method")
     if p_esp_lb >= p_sp:
         raise InfeasibleError(
             "no finite sample size achieves an effective-specificity floor "

@@ -193,6 +193,13 @@ class TestSampleSizeSpec:
         assert code == EXIT_INFEASIBLE
         assert "infeasible design" in err
 
+    def test_search_exhaustion_exit_code(self, capsys):
+        code, out, err = run(capsys, "samplesize-spec", "--esp-lb", "0.9499999",
+                             "--conf", "0.99")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "10000000" in err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "samplesize-spec")
         assert code == EXIT_USAGE
@@ -257,6 +264,23 @@ class TestSampleSizeSens:
         assert values(payload, "induced_specificity_lower_bound", "asymptotic") == []
         assert len(payload["warnings"]) == 1
         assert "use the exact method" in payload["warnings"][0]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (("samplesize-spec", "--esp-lb", "0.9", "--psp", "1.5"), "p_sp"),
+    (("retro", "--n", "10", "--conf", "0"), "p_conf"),
+    (("tables", "--out", "{tmp}", "--m-list", "1"), "replicates per subject"),
+    # --psp is checked before the file, which is itself invalid
+    (("estimate", "--csv", "{tmp}/one.csv", "--psp", "3"), "p_sp"),
+])
+def test_out_of_domain_values_exit_64(capsys, tmp_path, argv, fragment):
+    # the flags parse; the library rejects their values
+    (tmp_path / "one.csv").write_text("subject_id,replicate_index,value\nA,1,2\n")
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "usage error:" in err
+    assert fragment in err
 
 
 _VANISHING_EFFECT = ("samplesize-sens", "--mu-delta", "1e-300", "--wsd", "1e300",

@@ -272,10 +272,10 @@ class TestRatioDensities:
         assert math.isfinite(val) and val < -1e5
 
     def test_exact_density_where_square_underflows(self):
-        # nu w^2 rounds to 0: the chi-square density there is inf at nu = 1,
-        # 0.5 at nu = 2 and 0 above
+        # nu w^2 rounds to 0: the density of W tends to sqrt(2/pi) at nu = 1,
+        # is 2 w at nu = 2 and underflows to 0 above
         w = 1e-200
-        assert ratio_density_exact(w, 1) == math.inf
+        assert ratio_density_exact(w, 1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
         assert ratio_density_exact(w, 2) == pytest.approx(0.5 * 2.0 * w * 2)
         assert ratio_density_exact(w, 3) == 0.0
 
@@ -365,6 +365,11 @@ class TestRatioLaw:
 
     def test_overflowing_square_is_certain(self):
         assert ratio_cdf(1e300, 5, MethodChoice.EXACT) == 1.0
+
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_overflowing_normal_argument_is_certain(self, method):
+        # (w - 1) sqrt(2 nu) overflows to inf, where the normal CDF is 1
+        assert ratio_cdf(1e308, 10**7, method) == 1.0
 
     def test_quantile_against_chi_square(self):
         for nu in (1, 2, 5, 35, 139, 10**6):

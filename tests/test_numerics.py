@@ -46,9 +46,16 @@ class TestNormalCdf:
         assert normal_cdf(-40.0) == 0.0 or normal_cdf(-40.0) < 1e-300
         assert normal_cdf(40.0) == 1.0
 
+    def test_infinite_limits(self):
+        assert (normal_cdf(-np.inf), normal_cdf(np.inf)) == (0.0, 1.0)
+
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             normal_cdf(float("nan"))
+
+    def test_rejects_nan_in_array(self):
+        with pytest.raises(DomainError):
+            normal_cdf(np.array([0.0, np.nan]))
 
 
 class TestNormalQuantile:

@@ -7,6 +7,7 @@ cross-checked before pinning.
 import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
@@ -117,6 +118,12 @@ class TestEffectiveSensitivityGivenRatio:
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(DomainError):
             effective_sensitivity_given_ratio(0.0, 4.0, 0.95, TWO_SIDED)
+
+    @pytest.mark.parametrize("w", [1e308, np.array([1e308])])
+    def test_overflowing_band_edge_detects_nothing(self, w):
+        # z w overflows to inf, where the normal CDF is 1
+        with np.errstate(over="ignore"):
+            assert np.all(effective_sensitivity_given_ratio(w, 4.0, 0.9999999) == 0.0)
 
     def test_approximation_coercion_from_string(self):
         a = effective_sensitivity_given_ratio(1.2, 4.0, 0.95, "full-two-sided")
@@ -235,6 +242,22 @@ class TestSensitivityConfidence:
         with pytest.raises(InfeasibleError, match="0.9"):
             sensitivity_confidence(139, 1.0, 0.95, 0.9, MethodChoice.EXACT,
                                    ONE_SIDED)
+
+    @pytest.mark.parametrize("approximation", [ONE_SIDED, TWO_SIDED])
+    def test_cap_beyond_the_largest_double_is_certain(self, approximation):
+        # z ~ 1e-300 and delta = 1e10 put the ratio cap past every double
+        assert sensitivity_confidence(10, 1e10, 1e-300, 0.5, MethodChoice.EXACT,
+                                      approximation) == 1.0
+
+    def test_cap_between_two_to_the_1023_and_the_largest_double(self):
+        # the two-sided cap is about 1.3e308, so bisection runs next to the
+        # largest double and its midpoints must not overflow
+        assert sensitivity_confidence(10, 2.3e8, 1e-300, 0.5, MethodChoice.EXACT,
+                                      TWO_SIDED) == 1.0
+
+    def test_unknown_method_rejected_where_the_cap_is_capped(self):
+        with pytest.raises(DomainError, match="method"):
+            sensitivity_confidence(10, 4.0, 1e-320, 0.5, "bogus")
 
 
 class TestSensitivityLowerBound:
@@ -359,3 +382,19 @@ class TestSampleSizeSensitivity:
         b = sample_size_sensitivity(2, 4.0, 0.95, 0.75, 0.95,
                                     MethodChoice.EXACT)
         assert a.n == b.n
+
+    @pytest.mark.parametrize("approximation", [ONE_SIDED, TWO_SIDED])
+    def test_cap_beyond_the_largest_double_needs_one_subject(self, approximation):
+        res = sample_size_sensitivity(2, 1e10, 1e-300, 0.5, 0.95, MethodChoice.EXACT,
+                                      approximation)
+        assert res.n == 1
+
+    def test_cap_between_two_to_the_1023_and_the_largest_double(self):
+        res = sample_size_sensitivity(2, 2.3e8, 1e-300, 0.5, 0.95, MethodChoice.EXACT,
+                                      TWO_SIDED)
+        assert res.n == 1
+
+    def test_search_exhaustion_is_infeasible(self):
+        # the floor sits just below the attainable 0.8074294794
+        with pytest.raises(InfeasibleError, match="10000000"):
+            sample_size_sensitivity(2, 4.0, 0.95, 0.807429479, 0.99, MethodChoice.EXACT)

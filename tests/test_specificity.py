@@ -7,6 +7,7 @@ densities for the expectations) and cross-checked before being pinned here.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +57,12 @@ class TestEffectiveSpecificityGivenRatio:
         with pytest.raises(DomainError):
             effective_specificity_given_ratio(-1.0, 0.95)
 
+    @pytest.mark.parametrize("w", [1e308, np.array([1e308])])
+    def test_overflowing_band_edge_is_certain(self, w):
+        # z w overflows to inf, where the normal CDF is 1
+        with np.errstate(over="ignore"):
+            assert np.all(effective_specificity_given_ratio(w, 0.9999999) == 1.0)
+
     @given(st.floats(min_value=0.01, max_value=10.0),
            st.floats(min_value=0.5, max_value=0.999))
     @settings(max_examples=100, deadline=None)
@@ -88,6 +95,16 @@ class TestEffectiveSpecificityPdf:
     def test_deep_tail_stays_finite(self):
         val = effective_specificity_pdf(1e-12, 10**6, 0.95)
         assert val == 0.0 or math.isfinite(val)
+
+    def test_nu_one_where_square_underflows(self):
+        # the preimage w is ~6e-301; the density of W there is sqrt(2/pi)
+        with mp.workdps(50):
+            z = mp.sqrt(2) * mp.erfinv(mp.mpf("0.95"))
+            y = mp.sqrt(2) * mp.erfinv(mp.mpf(1e-300))
+            want = (mp.sqrt(2 / mp.pi) * mp.exp(-(y / z) ** 2 / 2)
+                    / (2 * z * mp.npdf(y)))
+        assert effective_specificity_pdf(1e-300, 1, 0.95) == pytest.approx(
+            float(want), rel=1e-14)
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
@@ -269,6 +286,10 @@ class TestSampleSizeSpecificity:
     def test_infeasible_names_values(self):
         with pytest.raises(InfeasibleError, match="0.96"):
             sample_size_specificity(2, 0.95, 0.96, 0.95, MethodChoice.EXACT)
+
+    def test_search_exhaustion_is_infeasible(self):
+        with pytest.raises(InfeasibleError, match="10000000"):
+            sample_size_specificity(2, 0.95, 0.9499999, 0.99, MethodChoice.EXACT)
 
     def test_low_confidence_warns(self):
         with pytest.warns(UserWarning, match="p_conf"):
