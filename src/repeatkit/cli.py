@@ -74,7 +74,7 @@ EXIT_DATA = 65
 EXIT_CANTCREAT = 73
 
 
-class UsageError(Exception):
+class UsageError(DomainError):
     """Malformed flags or flag combinations; maps to exit code 64."""
 
 
@@ -86,7 +86,7 @@ def _round10(x: float) -> float:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if x is True or x is False:
         return "true" if x else "false"
     if isinstance(x, float):
         return f"{_round10(x):.10g}"
@@ -115,8 +115,6 @@ class ReportEnvelope:
 
     def to_payload(self) -> dict:
         def clean(v):
-            if isinstance(v, bool):
-                return v
             if isinstance(v, float):
                 return _round10(v)
             if isinstance(v, (list, tuple)):
@@ -355,15 +353,10 @@ def _resolve_nu(args) -> int:
     if args.nu is not None:
         if args.n is not None:
             raise UsageError("--nu and --n are mutually exclusive")
-        if args.nu < 1:
-            raise UsageError(f"--nu must be >= 1, got {args.nu}")
         return args.nu
     if args.n is None:
         raise UsageError("provide --n (with --m) or --nu")
-    try:
-        return design_degrees_of_freedom(args.n, args.m)
-    except DomainError as e:
-        raise UsageError(str(e)) from None
+    return design_degrees_of_freedom(args.n, args.m)
 
 
 def cmd_retro(args) -> ReportEnvelope:
@@ -774,12 +767,9 @@ def _add_lower_bound_agreement(env: ReportEnvelope, name: str, analytic: float, 
 
 
 def cmd_simulate(args) -> ReportEnvelope:
-    try:
-        cfg = SimulationConfig(n=args.n, m=args.m, w_sd=args.wsd, p_sp=args.psp,
-                               delta=args.delta if args.delta is not None else 0.0,
-                               replicates=args.replicates, seed=args.seed)
-    except DomainError as e:
-        raise UsageError(str(e)) from None
+    cfg = SimulationConfig(n=args.n, m=args.m, w_sd=args.wsd, p_sp=args.psp,
+                           delta=args.delta if args.delta is not None else 0.0,
+                           replicates=args.replicates, seed=args.seed)
     env = ReportEnvelope(
         command="simulate",
         inputs={"n": cfg.n, "m": cfg.m, "wsd": cfg.w_sd, "psp": cfg.p_sp,
@@ -841,9 +831,6 @@ def main(argv=None) -> int:
             # looked up per call, so a command rebound on this module is the one run
             envelope = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         envelope.take_warnings(caught)
-    except UsageError as e:
-        print(f"repeatkit: usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as e:
         print(f"repeatkit: infeasible design: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE

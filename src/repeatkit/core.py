@@ -29,8 +29,9 @@ from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln
 
 from .errors import DataValidationError, DomainError
 from .numerics import (
-    check_degrees_of_freedom,
+    check_integer,
     check_probability,
+    check_real,
     normal_cdf,
     normal_quantile,
 )
@@ -60,18 +61,19 @@ _LOG2 = math.log(2.0)
 SMALL_NU_WARNING_THRESHOLD = 10
 
 
-def symmetric_coverage_quantile(p: float) -> float:
-    """Half-width multiplier z with P[-z <= Z <= z] = p for standard normal Z.
+def symmetric_coverage_quantile(p_sp: float) -> float:
+    """Half-width multiplier z with P[-z <= Z <= z] = p_sp for standard normal Z.
 
-    Equals ``normal_quantile(1 - (1 - p)/2)``; the factor that turns a
+    Equals ``normal_quantile(1 - (1 - p_sp)/2)``; the factor that turns a
     standard deviation into the half-width of a symmetric interval with
-    coverage ``p``.  Where that argument rounds to 0.5 (``p < ~1e-16``) or
-    1, ``sqrt(2) erfinv(p)`` or ``-normal_quantile((1 - p)/2)`` stands in.
+    coverage ``p_sp``.  Where that argument rounds to 0.5 (``p_sp < ~1e-16``)
+    or 1, ``sqrt(2) erfinv(p_sp)`` or ``-normal_quantile((1 - p_sp)/2)``
+    stands in.
     """
-    p = check_probability(p, "coverage probability")
-    tail = (1.0 - p) / 2.0
+    p_sp = check_probability(p_sp, "p_sp")
+    tail = (1.0 - p_sp) / 2.0
     if 1.0 - tail == 0.5:
-        return _SQRT2 * float(erfinv(p))
+        return _SQRT2 * float(erfinv(p_sp))
     return _normal_quantile_above(tail)
 
 
@@ -83,11 +85,8 @@ def _normal_quantile_above(p: float) -> float:
 
 def design_degrees_of_freedom(n_subjects: int, replicates: int) -> int:
     """Pooled degrees of freedom ``n * (m - 1)`` of a balanced design."""
-    if not isinstance(n_subjects, int) or isinstance(n_subjects, bool) or n_subjects < 1:
-        raise DomainError(f"n_subjects must be a positive integer, got {n_subjects!r}")
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 2:
-        raise DomainError(f"replicates per subject must be an integer >= 2, got {replicates!r}")
-    return n_subjects * (replicates - 1)
+    return (check_integer(n_subjects, "n_subjects")
+            * (check_integer(replicates, "replicates per subject", 2) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +143,8 @@ class WsdEstimate:
     nu: int
 
     def __post_init__(self):
-        if not math.isfinite(self.wsd_hat) or self.wsd_hat < 0.0:
-            raise DomainError(f"wsd_hat must be finite and >= 0, got {self.wsd_hat!r}")
-        object.__setattr__(self, "nu", check_degrees_of_freedom(self.nu))
+        object.__setattr__(self, "wsd_hat", check_real(self.wsd_hat, "wsd_hat", 0.0))
+        object.__setattr__(self, "nu", check_integer(self.nu, "nu"))
 
     def repeatability_coefficient(self, p_sp: float = 0.95) -> "RepeatabilityCoefficient":
         """Repeatability coefficient built from this estimate (flagged as such)."""
@@ -167,8 +165,7 @@ class RepeatabilityCoefficient:
     estimated: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value < 0.0:
-            raise DomainError(f"coefficient value must be finite and >= 0, got {self.value!r}")
+        object.__setattr__(self, "value", check_real(self.value, "coefficient value", 0.0))
         object.__setattr__(self, "target_specificity",
                            check_probability(self.target_specificity, "target_specificity"))
 
@@ -259,9 +256,7 @@ def repeatability_coefficient(wsd: float, p_sp: float = 0.95, *,
     from data, so a coefficient beyond the largest double is then a
     :class:`DataValidationError`.
     """
-    wsd = float(wsd)
-    if not math.isfinite(wsd) or wsd < 0.0:
-        raise DomainError(f"wsd must be finite and >= 0, got {wsd!r}")
+    wsd = check_real(wsd, "wsd", 0.0)
     value = symmetric_coverage_quantile(p_sp) * _SQRT2 * wsd
     if estimated and math.isinf(value):
         raise DataValidationError("the repeatability coefficient exceeds the largest double")
@@ -319,6 +314,15 @@ def _check_ratio(w):
     return w
 
 
+def _band_edge(z: float, w):
+    """``z * w`` for a checked ratio ``w``; inf past the largest double, unwarned for arrays."""
+    w = _check_ratio(w)
+    if isinstance(w, np.ndarray):
+        with np.errstate(over="ignore"):
+            return z * w
+    return z * w
+
+
 def _ratio_log_density(w: float, nu: int) -> float:
     """Log density of ``W`` at ``w > 0``; -inf where ``nu w^2 / 2`` overflows.
 
@@ -336,7 +340,7 @@ def ratio_density_exact(w: float, nu: int) -> float:
 
     The exponential of :func:`_ratio_log_density`.
     """
-    return math.exp(_ratio_log_density(w, check_degrees_of_freedom(nu)))
+    return math.exp(_ratio_log_density(w, check_integer(nu, "nu")))
 
 
 def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
@@ -346,7 +350,7 @@ def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> f
     incomplete gamma function ``P(nu/2, x/2)`` (1 where ``x`` overflows), or
     ``Phi((w - 1) sqrt(2 nu))`` asymptotically.
     """
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     w = _check_ratio(w)
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
         return float(gammainc(0.5 * nu, 0.5 * (nu * w * w)))
@@ -359,9 +363,9 @@ def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT)
     Raises DomainError where the normal approximation puts the quantile at
     or below 0, which happens for small ``nu`` and small ``q``.
     """
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
+    q = check_probability(q, "q")
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
-        q = check_probability(q, "p")
         return math.sqrt(2.0 * float(gammaincinv(0.5 * nu, q)) / nu)
     w = 1.0 + normal_quantile(q) / math.sqrt(2.0 * nu)
     if w <= 0.0:
@@ -381,7 +385,7 @@ def _ratio_quantile_above(p: float, nu: int,
     """
     if 1.0 - p < 1.0:
         return ratio_quantile(1.0 - p, nu, method)
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
         return math.sqrt(2.0 * float(gammainccinv(0.5 * nu, p)) / nu)
     return 1.0 - normal_quantile(p) / math.sqrt(2.0 * nu)

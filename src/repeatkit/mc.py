@@ -21,10 +21,10 @@ with ``B = ceil((n*m + 4) / 4)``, of which it uses the first ``n*m + 4``
 is a prefix of a longer one, and neither chunking nor thread count can
 change results.
 Uniforms map 64-bit raw output to the open interval via
-``((raw >> 11) + 0.5) * 2^-53`` and become normals through
-``normal_quantile`` (``scipy.special.ndtri``).  A chunk holds one buffer:
-``Generator.random`` writes ``(raw >> 11) * 2^-53`` into it, adding
-``2^-54`` rounds exactly like the map above, and ``ndtri`` runs in place.
+``((raw >> 11) + 0.5) * 2^-53``, held at ``1 - 2^-53`` for the top word that
+rounds to 1, and become normals through ``scipy.special.ndtri``.  A chunk
+holds one buffer: ``Generator.random`` writes ``(raw >> 11) * 2^-53`` into
+it, adding ``2^-54`` rounds like the map above, and ``ndtri`` runs in place.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .core import design_degrees_of_freedom, symmetric_coverage_quantile
-from .numerics import check_probability, normal_quantile
+from .core import symmetric_coverage_quantile
+from .numerics import check_integer, check_probability, check_real, normal_quantile
 
 __all__ = [
     "SimulationConfig",
@@ -99,26 +99,19 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        design_degrees_of_freedom(self.n, self.m)  # integers n >= 1 and m >= 2
-        if not isinstance(self.w_sd, (int, float)) or isinstance(self.w_sd, bool) \
-                or not math.isfinite(self.w_sd) or self.w_sd <= 0.0:
-            raise DomainError(f"w_sd must be finite and > 0, got {self.w_sd!r}")
-        object.__setattr__(self, "w_sd", float(self.w_sd))
+        object.__setattr__(self, "n", check_integer(self.n, "n"))
+        object.__setattr__(self, "m", check_integer(self.m, "replicates per subject m", 2))
+        object.__setattr__(self, "w_sd", check_real(self.w_sd, "w_sd", 0.0, strict=True))
         object.__setattr__(self, "p_sp", check_probability(self.p_sp, "p_sp"))
-        if not isinstance(self.delta, (int, float)) or isinstance(self.delta, bool) \
-                or not math.isfinite(self.delta):
-            raise DomainError(f"delta must be finite, got {self.delta!r}")
-        object.__setattr__(self, "delta", float(self.delta))
-        if not isinstance(self.replicates, int) or isinstance(self.replicates, bool) \
-                or self.replicates < 1:
-            raise DomainError(f"replicates must be a positive integer, got {self.replicates!r}")
+        object.__setattr__(self, "delta", check_real(self.delta, "delta"))
+        object.__setattr__(self, "replicates", check_integer(self.replicates, "replicates"))
         if self.replicates * _BYTES_PER_REPLICATE > _RUN_BUDGET_BYTES:
             raise DomainError(
                 f"replicates = {self.replicates} exceed the sample memory budget of "
                 f"{_RUN_BUDGET_BYTES} bytes at {_BYTES_PER_REPLICATE} bytes per replicate "
                 f"(at most {_RUN_BUDGET_BYTES // _BYTES_PER_REPLICATE} replicates)")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not 0 <= self.seed < 2**64:
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
+        if self.seed >= 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.n * self.m + 4 > _CHUNK_BUDGET_DRAWS:
             raise DomainError(f"n*m + 4 = {self.n * self.m + 4} draws per replicate exceed "
@@ -194,9 +187,10 @@ def _chunk_normals(cfg: SimulationConfig, start: int, count: int,
     blocks = -(-draws // 4)  # B: Philox blocks of four words per replicate
     gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, 0], np.uint64)))
     gen.bit_generator.advance(start * blocks)
-    # random() is (x >> 11) * 2^-53, so adding 2^-54 rounds like ((x >> 11) + 0.5) * 2^-53
+    # random() is (x >> 11) * 2^-53; adding 2^-54 and holding it below 1 give the map above
     out = gen.random((count, 4 * blocks))[:, :draws]
     out += 2.0 ** -54
+    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return normal_quantile(out, out=out)
 
 

@@ -1,13 +1,13 @@
 """Numerical kernels: argument checks, the normal distribution, integer search.
 
-Three primitives live here: the checks of a probability and of a
-degrees-of-freedom count, the standard normal CDF/quantile pair, and the
-monotone integer search behind every exact sample size.  The normal pair
-delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is defined at
-±inf and rejects NaN.  Both are scalar-first and also accept numpy arrays
-because the simulation code transforms large uniform batches through them.
-The chi-square law of the estimation-error ratio lives in
-:mod:`repeatkit.core`, which calls ``scipy.special`` for it directly.
+Three primitives live here: one check per kind of argument, whose errors
+name the argument (:func:`check_integer` for counts, ``int`` or numpy
+integers but never bools or floats; :func:`check_probability` for (0, 1);
+:func:`check_real` for finite reals), the standard normal CDF/quantile pair,
+and the monotone integer search behind every exact sample size.  The normal
+pair delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is
+defined at ±inf and rejects NaN.  Both also accept numpy arrays, which the
+simulation transforms in bulk.  The law of W lives in :mod:`repeatkit.core`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from scipy.special import erfc as _erfc_arr, ndtri
 from .errors import DomainError, InfeasibleError
 
 __all__ = [
+    "check_integer",
     "check_probability",
-    "check_degrees_of_freedom",
+    "check_real",
     "normal_cdf",
     "normal_quantile",
     "min_integer_satisfying",
@@ -35,6 +36,20 @@ _SQRT2 = math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # argument checking
 # ---------------------------------------------------------------------------
+
+def check_real(value, name: str, minimum: float = -math.inf, strict: bool = False) -> float:
+    """Validate a finite real (not a bool), ``>= minimum`` or, if ``strict``, ``> minimum``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(x) or x < minimum or (strict and x == minimum):
+        bound = "" if minimum == -math.inf else f" and {'>' if strict else '>='} {minimum:g}"
+        raise DomainError(f"{name} must be finite{bound}, got {x!r}")
+    return x
+
 
 def check_probability(value: float, name: str = "probability") -> float:
     """Validate a probability strictly inside (0, 1) and return it as a float."""
@@ -49,16 +64,11 @@ def check_probability(value: float, name: str = "probability") -> float:
     return p
 
 
-def check_degrees_of_freedom(nu: int, name: str = "nu") -> int:
-    """Validate a degrees-of-freedom count: a positive integer."""
-    if isinstance(nu, float) and nu.is_integer():
-        nu = int(nu)
-    if isinstance(nu, bool) or not isinstance(nu, (int, np.integer)):
-        raise DomainError(f"{name} must be a positive integer, got {nu!r}")
-    nu = int(nu)
-    if nu < 1:
-        raise DomainError(f"{name} must be >= 1, got {nu}")
-    return nu
+def check_integer(value, name: str, minimum: int = 1) -> int:
+    """Validate a count: an ``int`` or numpy integer, not a bool, ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +144,7 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
     InfeasibleError
         If the predicate is still false at ``MAX_SUBJECTS``.
     """
-    if not isinstance(start_hint, (int, np.integer)) or isinstance(start_hint, bool):
-        raise DomainError(f"start_hint must be a positive integer, got {start_hint!r}")
-    if start_hint < 1:
-        raise DomainError(f"start_hint must be >= 1, got {start_hint}")
-
-    hint = min(int(start_hint), MAX_SUBJECTS)
+    hint = min(check_integer(start_hint, "start_hint"), MAX_SUBJECTS)
     step = 1
     if predicate(hint):
         # walk down for the false side of the bracket

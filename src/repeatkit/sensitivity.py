@@ -30,7 +30,7 @@ from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_choice,
-    _check_ratio,
+    _band_edge,
     _normal_quantile_above,
     ratio_cdf,
     ratio_quantile,
@@ -38,8 +38,9 @@ from .core import (
 )
 from .numerics import (
     MAX_SUBJECTS,
-    check_degrees_of_freedom,
+    check_integer,
     check_probability,
+    check_real,
     min_integer_satisfying,
     normal_cdf,
     normal_quantile,
@@ -85,9 +86,7 @@ class EffectSize:
     negative: bool = False
 
     def __post_init__(self):
-        delta = float(self.delta)
-        if not math.isfinite(delta):
-            raise DomainError(f"effect size must be finite, got {delta!r}")
+        delta = check_real(self.delta, "delta")
         if delta < 0.0:
             object.__setattr__(self, "delta", -delta)
             object.__setattr__(self, "negative", True)
@@ -97,12 +96,8 @@ class EffectSize:
     @classmethod
     def from_change(cls, mu_delta: float, w_sd: float) -> "EffectSize":
         """Standardize a raw change in biomarker units by the within-subject SD."""
-        mu_delta = float(mu_delta)
-        w_sd = float(w_sd)
-        if not math.isfinite(mu_delta):
-            raise DomainError(f"mu_delta must be finite, got {mu_delta!r}")
-        if not math.isfinite(w_sd) or w_sd <= 0.0:
-            raise DomainError(f"w_sd must be finite and > 0, got {w_sd!r}")
+        mu_delta = check_real(mu_delta, "mu_delta")
+        w_sd = check_real(w_sd, "w_sd", 0.0, strict=True)
         # a nonzero quotient that overflows or underflows is clamped, keeping its sign
         magnitude = min(abs(mu_delta) / w_sd, sys.float_info.max)
         if mu_delta != 0.0:
@@ -115,9 +110,7 @@ class EffectSize:
 
 
 def _as_effect(delta) -> EffectSize:
-    if isinstance(delta, EffectSize):
-        return delta
-    return EffectSize(float(delta))
+    return delta if isinstance(delta, EffectSize) else EffectSize(delta)
 
 
 def _p_ese_raw(y, d, approximation: SensitivityApproximation):
@@ -168,7 +161,7 @@ def effective_sensitivity_given_ratio(
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
-    return _p_ese_raw(z * _check_ratio(w), d, approximation)
+    return _p_ese_raw(_band_edge(z, w), d, approximation)
 
 
 def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
@@ -184,7 +177,7 @@ def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
     difference from :func:`sensitivity` is the power bias of the plug-in
     rule.
     """
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     method = _as_choice(MethodChoice, method, "method")
     eff = _as_effect(delta)
     z = symmetric_coverage_quantile(p_sp)
@@ -272,11 +265,11 @@ def sensitivity_confidence(
     p_sp = check_probability(p_sp, "p_sp")
     eff = _as_effect(delta)
     p_ese_lb = check_probability(p_ese_lb, "p_ese_lb")
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     if (approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE
             and eff.delta == 0.0):
-        raise DomainError("one-sided form requires a nonzero effect size")
+        raise DomainError("one-sided form requires a nonzero effect size delta")
     u, _, _ = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
     return ratio_cdf(u, nu, method)
 
@@ -296,7 +289,7 @@ def sensitivity_lower_bound(
     approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
-        raise DomainError("sensitivity_lower_bound requires a nonzero effect size")
+        raise DomainError("sensitivity_lower_bound requires a nonzero effect size delta")
     # the quantile may underflow to 0, where the band closes and every
     # change is detected
     z = symmetric_coverage_quantile(p_sp)
@@ -319,8 +312,7 @@ def sample_size_sensitivity(
     search over :func:`ratio_cdf` at the cap ``u`` of
     :func:`sensitivity_confidence`, found once before the search.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise DomainError(f"replicates per subject m must be an integer >= 2, got {m!r}")
+    m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
     p_ese_lb = check_probability(p_ese_lb, "p_ese_lb")
     p_conf = check_probability(p_conf, "p_conf")
@@ -328,7 +320,7 @@ def sample_size_sensitivity(
     approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
     if eff.delta <= 0.0:
-        raise DomainError("sample_size_sensitivity requires a nonzero effect size")
+        raise DomainError("sample_size_sensitivity requires a nonzero effect size delta")
 
     u, z, d = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
     if p_conf <= 0.5:

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 from scipy.special import stdtr
 
-from .errors import DomainError, InfeasibleError
+from .errors import InfeasibleError
 from .core import (
     MethodChoice,
     _as_choice,
-    _check_ratio,
+    _band_edge,
     _normal_quantile_above,
     _ratio_log_density,
     _ratio_quantile_above,
@@ -35,7 +35,7 @@ from .core import (
 )
 from .numerics import (
     MAX_SUBJECTS,
-    check_degrees_of_freedom,
+    check_integer,
     check_probability,
     min_integer_satisfying,
     normal_cdf,
@@ -91,8 +91,7 @@ def effective_specificity_given_ratio(w, p_sp: float = 0.95):
         of ``p_sp``; strictly increasing in ``w``, equals ``p_sp`` at
         ``w = 1``.
     """
-    z = symmetric_coverage_quantile(p_sp)
-    return _p_esp_raw(z * _check_ratio(w))
+    return _p_esp_raw(_band_edge(symmetric_coverage_quantile(p_sp), w))
 
 
 def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
@@ -104,7 +103,7 @@ def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
     space so the far tails (where both factors underflow) stay finite.
     """
     p = check_probability(p, "p")
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     z = symmetric_coverage_quantile(p_sp)
     y = symmetric_coverage_quantile(p)  # z * w at the preimage
     log_slope = math.log(2.0 * z) - 0.5 * y * y - _LOG_SQRT_2PI
@@ -123,7 +122,7 @@ def expected_effective_specificity(nu: int, p_sp: float = 0.95,
     ``Phi(z / sqrt(1 + z^2 / (2 nu)))``.  The shortfall ``result - p_sp``
     is the bias introduced by estimating the within-subject SD.
     """
-    nu = check_degrees_of_freedom(nu)
+    nu = check_integer(nu, "nu")
     method = _as_choice(MethodChoice, method, "method")
     z = symmetric_coverage_quantile(p_sp)
     if method is MethodChoice.EXACT:
@@ -141,7 +140,7 @@ def specificity_confidence(nu: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     there.  Defined for any bound; values sink below 1/2 once the bound
     passes ``p_sp``.
     """
-    z = symmetric_coverage_quantile(check_probability(p_sp, "p_sp"))
+    z = symmetric_coverage_quantile(p_sp)
     z_lb = symmetric_coverage_quantile(check_probability(p_esp_lb, "p_esp_lb"))
     return 1.0 - ratio_cdf(z_lb / z, nu, method)
 
@@ -171,8 +170,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     searches the chi-square tail at the fixed ratio ``z_lb / z`` for the
     smallest qualifying integer, seeded by the asymptotic value.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise DomainError(f"replicates per subject m must be an integer >= 2, got {m!r}")
+    m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
     p_esp_lb = check_probability(p_esp_lb, "p_esp_lb")
     p_conf = check_probability(p_conf, "p_conf")

@@ -272,6 +272,9 @@ class TestSampleSizeSens:
     (("tables", "--out", "{tmp}", "--m-list", "1"), "replicates per subject"),
     # --psp is checked before the file, which is itself invalid
     (("estimate", "--csv", "{tmp}/one.csv", "--psp", "3"), "p_sp"),
+    (("retro", "--n", "10", "--psp", "1.5"), "p_sp"),
+    (("figure-data", "--figure", "2", "--out", "{tmp}", "--psp", "1.5"), "p_sp"),
+    (("samplesize-sens", "--delta", "inf", "--ese-lb", "0.7"), "delta"),
 ])
 def test_out_of_domain_values_exit_64(capsys, tmp_path, argv, fragment):
     # the flags parse; the library rejects their values

@@ -403,8 +403,9 @@ class TestRatioLaw:
 
     @pytest.mark.parametrize("q", [0.0, 1.0])
     def test_quantile_rejects_boundary(self, q):
-        with pytest.raises(DomainError):
-            ratio_quantile(q, 7)
+        for method in MethodChoice:
+            with pytest.raises(DomainError, match=r"^q must lie strictly inside"):
+                ratio_quantile(q, 7, method)
 
     def test_accepts_method_names(self):
         assert ratio_cdf(1.1, 10, "asymptotic") == ratio_cdf(

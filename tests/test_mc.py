@@ -131,6 +131,24 @@ class TestDeterminism:
                 alone = special.ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53)
                 assert np.array_equal(alone, bulk[r]), (seed, r)
 
+    def test_top_word_maps_inside_the_open_interval(self, monkeypatch):
+        # random() of the words from 2**64 - 2**11 up is 1 - 2**-53, and adding
+        # 2**-54 rounds that to 1; the map holds it at 1 - 2**-53 instead
+        top = (2**53 - 1) * 2.0**-53
+        assert top + 2.0**-54 == 1.0
+
+        class TopWords:
+            def __init__(self, bit_generator):
+                self.bit_generator = bit_generator
+
+            def random(self, shape):
+                return np.full(shape, top)
+
+        monkeypatch.setattr(np.random, "Generator", TopWords)
+        got = mc._chunk_normals(SimulationConfig(n=2, m=2), 0, 3, 8)
+        assert got.shape == (3, 8)
+        assert np.all(got == special.ndtri(1.0 - 2.0**-53))
+
     def test_seeds_above_2_63_are_distinct(self):
         # each seed keys its own stream, all 64 bits of it
         groups = [(0, 2**64 - 1), (2**63, 2**63 + 1, 9223372036854776000)]

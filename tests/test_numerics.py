@@ -10,13 +10,44 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repeatkit.errors import DomainError
-from repeatkit.numerics import min_integer_satisfying, normal_cdf, normal_quantile
+from repeatkit.numerics import (
+    check_integer,
+    check_real,
+    min_integer_satisfying,
+    normal_cdf,
+    normal_quantile,
+)
 
 mp.mp.dps = 50
 
 
 def mp_normal_cdf(x):
     return 0.5 * mp.erfc(-mp.mpf(x) / mp.sqrt(2))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_integer_accepts_numpy_integers(self, value):
+        got = check_integer(value, "nu")
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [0, 53.0, True, np.bool_(True), "3", None])
+    def test_integer_rejects(self, value):
+        with pytest.raises(DomainError, match=r"^nu must be an integer >= 1, got "):
+            check_integer(value, "nu")
+
+    def test_real_bounds_and_wording(self):
+        assert check_real(0.0, "wsd", 0.0) == 0.0
+        assert type(check_real(np.int64(2), "delta")) is float
+        with pytest.raises(DomainError, match=r"^w_sd must be finite and > 0, got 0\.0$"):
+            check_real(0.0, "w_sd", 0.0, strict=True)
+        with pytest.raises(DomainError, match=r"^wsd must be finite and >= 0, got -1\.0$"):
+            check_real(-1.0, "wsd", 0.0)
+        with pytest.raises(DomainError, match=r"^delta must be finite, got inf$"):
+            check_real(float("inf"), "delta")
+        for bad in (True, "x", None):
+            with pytest.raises(DomainError, match=r"^delta must be a real number, got "):
+                check_real(bad, "delta")
 
 
 class TestNormalCdf:

@@ -6,6 +6,7 @@ cross-checked before pinning.
 
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,8 +122,9 @@ class TestEffectiveSensitivityGivenRatio:
 
     @pytest.mark.parametrize("w", [1e308, np.array([1e308])])
     def test_overflowing_band_edge_detects_nothing(self, w):
-        # z w overflows to inf, where the normal CDF is 1
-        with np.errstate(over="ignore"):
+        # z w overflows to inf, where the normal CDF is 1; no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert np.all(effective_sensitivity_given_ratio(w, 4.0, 0.9999999) == 0.0)
 
     def test_approximation_coercion_from_string(self):

@@ -6,6 +6,7 @@ densities for the expectations) and cross-checked before being pinned here.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -59,8 +60,9 @@ class TestEffectiveSpecificityGivenRatio:
 
     @pytest.mark.parametrize("w", [1e308, np.array([1e308])])
     def test_overflowing_band_edge_is_certain(self, w):
-        # z w overflows to inf, where the normal CDF is 1
-        with np.errstate(over="ignore"):
+        # z w overflows to inf, where the normal CDF is 1; no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert np.all(effective_specificity_given_ratio(w, 0.9999999) == 1.0)
 
     @given(st.floats(min_value=0.01, max_value=10.0),
