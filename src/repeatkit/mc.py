@@ -25,6 +25,10 @@ Uniforms map 64-bit raw output to the open interval via
 rounds to 1, and become normals through ``scipy.special.ndtri``.  A chunk
 holds one buffer: ``Generator.random`` writes ``(raw >> 11) * 2^-53`` into
 it, adding ``2^-54`` rounds like the map above, and ``ndtri`` runs in place.
+The chunk's tables are then centred in place, subject means summed column
+slice by column slice for ``m < 8`` (numpy's own left-to-right order below 8
+elements) and by ``mean`` from ``m = 8`` (where numpy sums pairwise), and
+pooled with one ``einsum``, so the floats match a plain ``mean`` at every m.
 """
 
 from __future__ import annotations
@@ -74,10 +78,15 @@ def _thread_count() -> int:
     try:
         requested = int(raw)
     except ValueError:
-        warnings.warn(f"REPEATKIT_THREADS={raw!r} is not an integer; using auto",
+        requested = -1
+    if requested > 0:
+        return requested
+    if requested < 0:
+        warnings.warn(f"REPEATKIT_THREADS={raw!r} is not an integer >= 0; using auto",
                       stacklevel=2)
-        requested = 0
-    return requested if requested > 0 else os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -231,7 +240,16 @@ def simulate_study(cfg: SimulationConfig) -> StudySimulation:
         # in units of w_sd, so no draw is scaled (none overflows or underflows)
         normals = _chunk_normals(cfg, start, count, draws)
         centered = normals[:, :table].reshape(count, cfg.n, cfg.m)
-        centered -= centered.mean(axis=2, keepdims=True)
+        if cfg.m < 8:
+            # numpy sums fewer than 8 elements left to right: the same sum, in slices
+            means = centered[:, :, 0].copy()
+            for j in range(1, cfg.m):
+                means += centered[:, :, j]
+            means /= cfg.m
+            for j in range(cfg.m):
+                centered[:, :, j] -= means
+        else:  # from 8 elements numpy sums pairwise, which slices would not reproduce
+            centered -= centered.mean(axis=2, keepdims=True)
         pooled_ss = np.einsum("rij,rij->r", centered, centered)
         ratios = np.sqrt(pooled_ss / cfg.nu)
         rc_hat = z * _SQRT2 * ratios

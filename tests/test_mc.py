@@ -81,9 +81,10 @@ class TestDeterminism:
         b = ratios(cfg)
         assert np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_thread_count_does_not_change_results(self, monkeypatch, m):
         # multiple chunks so the pool actually fans out
-        cfg = SimulationConfig(n=5, m=2, replicates=10_000, seed=9)
+        cfg = SimulationConfig(n=5, m=m, replicates=10_000, seed=9)
         monkeypatch.setenv("REPEATKIT_THREADS", "1")
         serial = ratios(cfg)
         monkeypatch.setenv("REPEATKIT_THREADS", "3")
@@ -108,6 +109,29 @@ class TestDeterminism:
             out = ratios(cfg)
         assert out.shape == (50,)
 
+    def test_negative_thread_env_warns_and_uses_auto(self, monkeypatch):
+        monkeypatch.setenv("REPEATKIT_THREADS", "-2")
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.warns(UserWarning, match="REPEATKIT_THREADS='-2'"):
+            assert mc._thread_count() == 2
+
+    def test_auto_threads_follow_cpu_affinity(self, monkeypatch):
+        # a process pinned to fewer CPUs than the machine has gets that many workers
+        monkeypatch.delenv("REPEATKIT_THREADS", raising=False)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        assert mc._thread_count() == 1
+        monkeypatch.setenv("REPEATKIT_THREADS", "0")
+        assert mc._thread_count() == 1
+
+    def test_auto_threads_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("REPEATKIT_THREADS", raising=False)
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+        assert mc._thread_count() == 3
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc._thread_count() == 1
+
     def test_rng_contract_is_pinned(self):
         # bit-level values of the [seed, 0] stream: any change to the RNG contract shows here
         got = ratios(SimulationConfig(n=3, m=2, replicates=3, seed=0))
@@ -115,6 +139,20 @@ class TestDeterminism:
             "0x1.c6909222ab533p-1", "0x1.a23b238d80f53p-2", "0x1.84c64ad535e5ep+0"]
         cfg = SimulationConfig(n=10, m=2, delta=2.0, replicates=5000, seed=9)
         assert decisions(cfg) == (0.9264, 0.3248)
+
+    @pytest.mark.parametrize("m, pinned", [
+        # m < 8: subject means summed column by column, left to right
+        (3, ["0x1.ef1cfefae61e2p-1", "0x1.38232b4151edap+0", "0x1.15e4dc86a378cp+0"]),
+        (5, ["0x1.2f1bc3b27a137p+0", "0x1.28bbababb6e54p+0", "0x1.14af2f4d66742p+0"]),
+        (7, ["0x1.34c4fa64d331ap+0", "0x1.240e488b6d2e5p+0", "0x1.e21f97318eb77p-1"]),
+        # m >= 8: numpy's pairwise mean; a left-to-right sum moves these values
+        (8, ["0x1.2d2932250a9ddp+0", "0x1.04b466922e862p+0", "0x1.e097506ad8460p-1"]),
+        (9, ["0x1.36494258de550p+0", "0x1.0d7acc7c7cfccp+0", "0x1.9f14c14883186p-1"]),
+    ])
+    def test_reduction_order_is_pinned(self, m, pinned):
+        # bit-level values of the centring and pooled sum at several m
+        got = ratios(SimulationConfig(n=5, m=m, replicates=3, seed=0))
+        assert [float(x).hex() for x in got] == pinned
 
     def test_replicate_regenerates_alone(self):
         # replicate r owns the counter blocks [r*B, (r+1)*B) of the [seed, 0]
@@ -169,8 +207,26 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 1.5 * 4096 * 112 * 8
 
-    def test_chunk_size_does_not_change_results(self, monkeypatch):
-        cfg = SimulationConfig(n=6, m=3, delta=1.5, replicates=5000, seed=4)
+    @pytest.mark.parametrize("n, m", [(54, 2), (20, 5), (10, 7)])
+    def test_chunk_memory_is_bounded(self, monkeypatch, n, m):
+        # one chunk's centring and reduction add little to its normals buffer;
+        # from m = 8 the mean path (see simulate_study) peaks near 2.1 buffers,
+        # so it is left out of this bound
+        monkeypatch.setenv("REPEATKIT_THREADS", "1")
+        cfg = SimulationConfig(n=n, m=m, replicates=4096, seed=0)
+        simulate_study(SimulationConfig(n=n, m=m, replicates=8, seed=0))
+        tracemalloc.start()
+        try:
+            simulate_study(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = -(-(n * m + 4) // 4)
+        assert peak < 1.6 * 4096 * 4 * blocks * 8
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, m):
+        cfg = SimulationConfig(n=6, m=m, delta=1.5, replicates=5000, seed=4)
         monkeypatch.setattr(mc, "_CHUNK_REPLICATES", 4096)
         wide = simulate_study(cfg)
         monkeypatch.setattr(mc, "_CHUNK_REPLICATES", 37)
