@@ -35,6 +35,7 @@ from .specificity import (
     sample_size_specificity,
     specificity_confidence,
     specificity_lower_bound,
+    specificity_shortfall,
 )
 from .sensitivity import (
     EffectSize,
@@ -69,6 +70,7 @@ __all__ = [
     "effective_specificity_given_ratio",
     "effective_specificity_pdf",
     "expected_effective_specificity",
+    "specificity_shortfall",
     "specificity_confidence",
     "specificity_lower_bound",
     "sample_size_specificity",

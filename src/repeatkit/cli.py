@@ -44,8 +44,9 @@ from .specificity import (
     effective_specificity_pdf,
     expected_effective_specificity,
     sample_size_specificity,
-    specificity_confidence,
+    sample_size_specificity_grid,
     specificity_lower_bound,
+    specificity_shortfall,
 )
 from .sensitivity import (
     EffectSize,
@@ -381,10 +382,10 @@ def cmd_retro(args) -> ReportEnvelope:
         env.add("specificity_lower_bound", asym_lb, "asymptotic", "probability")
     for b in args.bound:
         env.add(f"prob_effective_specificity_below[{b:g}]",
-                1.0 - specificity_confidence(nu, args.psp, b, MethodChoice.EXACT),
+                specificity_shortfall(nu, args.psp, b, MethodChoice.EXACT),
                 "exact", "probability")
         env.add(f"prob_effective_specificity_below[{b:g}]",
-                1.0 - specificity_confidence(nu, args.psp, b, MethodChoice.ASYMPTOTIC),
+                specificity_shortfall(nu, args.psp, b, MethodChoice.ASYMPTOTIC),
                 "asymptotic", "probability")
     for d in args.delta:
         eff = EffectSize(d)
@@ -578,12 +579,11 @@ def cmd_estimate(args) -> ReportEnvelope:
 # file emitters
 # ---------------------------------------------------------------------------
 
-def _table_grid(m, conf_values, lb_values, psp_values):
+def _table_grid(conf_values, lb_values, sizes):
     # one row per (conf, lb); a cell is None where the floor is not below the target
-    return [(conf, lb, [None if lb >= psp else
-                        sample_size_specificity(m, psp, lb, conf, MethodChoice.EXACT).n
-                        for psp in psp_values])
-            for conf in conf_values for lb in lb_values]
+    return [(conf, lb, [int(n) or None for n in cells])
+            for conf, by_lb in zip(conf_values, sizes)
+            for lb, cells in zip(lb_values, by_lb)]
 
 
 def _write_table_csv(path, m, psp_values, rows):
@@ -612,6 +612,9 @@ def _write_table_markdown(path, m, psp_values, rows):
 
 
 def cmd_tables(args) -> ReportEnvelope:
+    # every value is checked and every grid solved before anything is written
+    sizes = sample_size_specificity_grid(args.m_list, args.psp_list, args.esp_lb_list,
+                                         args.conf_list)
     os.makedirs(args.out, exist_ok=True)
     env = ReportEnvelope(
         command="tables",
@@ -621,8 +624,8 @@ def cmd_tables(args) -> ReportEnvelope:
                 "psp_list": list(args.psp_list)},
         method=("exact",))
     written = []
-    for m in args.m_list:
-        rows = _table_grid(m, args.conf_list, args.esp_lb_list, args.psp_list)
+    for m, grid in zip(args.m_list, sizes):
+        rows = _table_grid(args.conf_list, args.esp_lb_list, grid)
         csv_path = os.path.join(args.out, f"samplesize_spec_m{m}.csv")
         md_path = os.path.join(args.out, f"samplesize_spec_m{m}.md")
         _write_table_csv(csv_path, m, args.psp_list, rows)

@@ -2,12 +2,15 @@
 
 Three primitives live here: one check per kind of argument, whose errors
 name the argument (:func:`check_integer` for counts, ``int`` or numpy
-integers but never bools or floats; :func:`check_probability` for (0, 1);
-:func:`check_real` for finite reals), the standard normal CDF/quantile pair,
-and the monotone integer search behind every exact sample size.  The normal
-pair delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is
-defined at ±inf and rejects NaN.  Both also accept numpy arrays, which the
-simulation transforms in bulk.  The law of W lives in :mod:`repeatkit.core`.
+integers but never bools or floats; :func:`check_real` for finite reals,
+never bools; :func:`check_probability`, which is :func:`check_real` plus
+the open interval (0, 1)), the standard normal CDF/quantile pair, and the
+monotone integer search.  The normal pair delegates to ``scipy.special``
+(``erfc``, ``ndtri``); the CDF is defined at ±inf and rejects NaN.  Both
+also accept numpy arrays, which the simulation transforms in bulk.  The
+law of W, and the window search over it behind every exact sample size,
+live in :mod:`repeatkit.core`; the integer search here settles the cells
+that a window leaves open.
 """
 
 from __future__ import annotations
@@ -51,14 +54,9 @@ def check_real(value, name: str, minimum: float = -math.inf, strict: bool = Fals
     return x
 
 
-def check_probability(value: float, name: str = "probability") -> float:
-    """Validate a probability strictly inside (0, 1) and return it as a float."""
-    try:
-        p = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(p):
-        raise DomainError(f"{name} must be finite, got {p!r}")
+def check_probability(value, name: str = "probability") -> float:
+    """Validate a probability strictly inside (0, 1): :func:`check_real` plus the range."""
+    p = check_real(value, name)
     if not 0.0 < p < 1.0:
         raise DomainError(f"{name} must lie strictly inside (0, 1), got {p!r}")
     return p

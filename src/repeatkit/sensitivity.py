@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from scipy.special import nctdtr
@@ -31,6 +30,7 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
+    _min_subject,
     _normal_quantile_above,
     ratio_cdf,
     ratio_quantile,
@@ -41,11 +41,10 @@ from .numerics import (
     check_integer,
     check_probability,
     check_real,
-    min_integer_satisfying,
     normal_cdf,
     normal_quantile,
 )
-from .specificity import SampleSizeResult
+from .specificity import SampleSizeResult, _warn_low_confidence
 
 __all__ = [
     "EffectSize",
@@ -310,7 +309,10 @@ def sample_size_sensitivity(
     ``p_ese_lb`` with probability at least ``p_conf``.  Two routes: the
     asymptotic closed form (one-sided, returns ``raw``), or an integer
     search over :func:`ratio_cdf` at the cap ``u`` of
-    :func:`sensitivity_confidence`, found once before the search.
+    :func:`sensitivity_confidence`, found once before the search.  The
+    search is the one-cell case of the window search behind
+    :func:`~repeatkit.specificity.sample_size_specificity_grid`, here on
+    ``P[W <= u]`` and with either method.
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -324,26 +326,22 @@ def sample_size_sensitivity(
 
     u, z, d = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
     if p_conf <= 0.5:
-        warnings.warn(
-            f"p_conf={p_conf} is at or below 0.5; the sample-size criterion "
-            "degenerates and the closed form is not meaningful", stacklevel=2)
+        _warn_low_confidence(p_conf)
 
     denom = _normal_quantile_above(p_ese_lb) + d - z
     # denom > 0 is guaranteed when the one-sided feasibility check ran; a
     # two-sided query can be feasible with denom <= 0, where the closed
-    # form has no solution and only serves as a (skipped) search hint.
+    # form has no solution and the search starts from n = 1.
     raw = (normal_quantile(p_conf) * z / denom) ** 2 / (2.0 * (m - 1)) \
         if denom > 0.0 else math.inf
     if method is MethodChoice.ASYMPTOTIC and \
             approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    hint = max(1, math.ceil(raw)) if math.isfinite(raw) else 1
-    try:
-        n = min_integer_satisfying(
-            lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf, start_hint=hint)
-    except InfeasibleError:
+    n = _min_subject(u, m - 1.0, p_conf, raw if denom > 0.0 else 1.0, upper=False,
+                     method=method)
+    if n == 0:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
-            f"floor {p_ese_lb} at delta={eff.delta:g}") from None
+            f"floor {p_ese_lb} at delta={eff.delta:g}")
     return SampleSizeResult(n=n, raw=None)

@@ -5,13 +5,21 @@ A change rule built from the true within-subject SD has specificity exactly
 a random variable: a monotone transform of the estimation-error ratio
 ``W = wsd_hat / w_SD``.  This module provides that transform, the induced
 density, the expectation (whose shortfall from ``p_sp`` is the bias of the
-plug-in rule), confidence statements ``P[P_esp >= bound]``, worst-case lower
-bounds at a given confidence, and the minimal number of subjects needed to
-keep the effective specificity above a floor with prescribed confidence.
+plug-in rule), confidence statements ``P[P_esp >= bound]`` and their
+complements ``P[P_esp < bound]``, worst-case lower bounds at a given
+confidence, and the minimal number of subjects needed to keep the effective
+specificity above a floor with prescribed confidence.
 
 Every distributional quantity comes in two forms, both closed: ``Exact``
 uses the chi-square law of ``nu * W**2`` and holds at any ``nu``;
 ``Asymptotic`` replaces ``W`` by its large-``nu`` normal limit.
+
+Exact sample sizes come for one design (:func:`sample_size_specificity`)
+or for a whole grid of designs (:func:`sample_size_specificity_grid`, which
+the ``tables`` command prints).  The grid checks its values once and derives
+every cell's quantiles, asymptotic hint and ratio as arrays, float for float
+as the one-design function derives them; both then run the window search of
+:mod:`repeatkit.core`.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import stdtr
 
 from .errors import InfeasibleError
@@ -27,7 +36,11 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
+    _coverage_quantiles,
+    _min_subject,
+    _min_subjects,
     _normal_quantile_above,
+    _normal_quantiles_above,
     _ratio_log_density,
     _ratio_quantile_above,
     ratio_cdf,
@@ -37,7 +50,6 @@ from .numerics import (
     MAX_SUBJECTS,
     check_integer,
     check_probability,
-    min_integer_satisfying,
     normal_cdf,
 )
 
@@ -46,9 +58,11 @@ __all__ = [
     "effective_specificity_given_ratio",
     "effective_specificity_pdf",
     "expected_effective_specificity",
+    "specificity_shortfall",
     "specificity_confidence",
     "specificity_lower_bound",
     "sample_size_specificity",
+    "sample_size_specificity_grid",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -132,17 +146,27 @@ def expected_effective_specificity(nu: int, p_sp: float = 0.95,
     return 2.0 * mean_phi - 1.0
 
 
+def specificity_shortfall(nu: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
+                          method: MethodChoice = MethodChoice.EXACT) -> float:
+    """Probability that the effective specificity falls below ``p_esp_lb``.
+
+    ``P[P_esp < p_esp_lb] = P[W < z_lb / z]``: :func:`ratio_cdf` there,
+    which keeps its relative precision when the shortfall is tiny.
+    """
+    z = symmetric_coverage_quantile(p_sp)
+    z_lb = symmetric_coverage_quantile(check_probability(p_esp_lb, "p_esp_lb"))
+    return ratio_cdf(z_lb / z, nu, method)
+
+
 def specificity_confidence(nu: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
                            method: MethodChoice = MethodChoice.EXACT) -> float:
     """Probability that the effective specificity reaches ``p_esp_lb``.
 
-    ``P[P_esp >= p_esp_lb] = P[W >= z_lb / z]``, one minus :func:`ratio_cdf`
-    there.  Defined for any bound; values sink below 1/2 once the bound
-    passes ``p_sp``.
+    ``P[P_esp >= p_esp_lb] = P[W >= z_lb / z]``, the complement of
+    :func:`specificity_shortfall`.  Defined for any bound; values sink
+    below 1/2 once the bound passes ``p_sp``.
     """
-    z = symmetric_coverage_quantile(p_sp)
-    z_lb = symmetric_coverage_quantile(check_probability(p_esp_lb, "p_esp_lb"))
-    return 1.0 - ratio_cdf(z_lb / z, nu, method)
+    return 1.0 - specificity_shortfall(nu, p_sp, p_esp_lb, method)
 
 
 def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
@@ -158,6 +182,26 @@ def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
     return _p_esp_raw(z * _ratio_quantile_above(p_conf, nu, method))
 
 
+def _warn_low_confidence(p_conf: float) -> None:
+    # stacklevel 3 names the caller of the public sample-size function
+    warnings.warn(
+        f"p_conf={p_conf} is at or below 0.5; the sample-size criterion "
+        "degenerates and the closed form is not meaningful", stacklevel=3)
+
+
+def _no_separation(p_sp, p_esp_lb, z, z_lb) -> InfeasibleError:
+    return InfeasibleError(
+        "no finite sample size achieves an effective-specificity floor whose "
+        f"coverage quantile is not below the target's (floor {p_esp_lb} -> {z_lb}, "
+        f"target {p_sp} -> {z})")
+
+
+def _not_reached(p_sp, p_esp_lb, p_conf) -> InfeasibleError:
+    return InfeasibleError(
+        f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
+        f"floor {p_esp_lb} at target {p_sp}")
+
+
 def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
                             p_conf: float = 0.95,
                             method: MethodChoice = MethodChoice.EXACT) -> SampleSizeResult:
@@ -168,7 +212,11 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     probability at least ``p_conf``.  The asymptotic method returns the
     closed-form real solution (also in ``raw``) rounded up; the exact method
     searches the chi-square tail at the fixed ratio ``z_lb / z`` for the
-    smallest qualifying integer, seeded by the asymptotic value.
+    smallest qualifying integer, seeded by the asymptotic value: the window
+    search of :func:`sample_size_specificity_grid`, run on one cell.  A
+    floor whose coverage quantile ``z_lb`` is not below the target's ``z``
+    (adjacent doubles can share one) is infeasible like a floor at or above
+    the target.
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -180,23 +228,69 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
             "no finite sample size achieves an effective-specificity floor "
             f"at or above the target specificity (floor {p_esp_lb} >= target {p_sp})")
     if p_conf <= 0.5:
-        warnings.warn(
-            f"p_conf={p_conf} is at or below 0.5; the sample-size criterion "
-            "degenerates and the closed form is not meaningful", stacklevel=2)
+        _warn_low_confidence(p_conf)
 
     z = symmetric_coverage_quantile(p_sp)
     z_lb = symmetric_coverage_quantile(p_esp_lb)
+    if z_lb >= z:
+        raise _no_separation(p_sp, p_esp_lb, z, z_lb)
     raw = (_normal_quantile_above(p_conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
     if method is MethodChoice.ASYMPTOTIC:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    ratio = z_lb / z
-    try:
-        n = min_integer_satisfying(
-            lambda n: 1.0 - ratio_cdf(ratio, n * (m - 1)) >= p_conf,
-            start_hint=max(1, math.ceil(raw)))
-    except InfeasibleError:
-        raise InfeasibleError(
-            f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
-            f"floor {p_esp_lb} at target {p_sp}") from None
+    n = _min_subject(z_lb / z, m - 1.0, p_conf, raw, upper=True)
+    if n == 0:
+        raise _not_reached(p_sp, p_esp_lb, p_conf)
     return SampleSizeResult(n=n, raw=None)
+
+
+def _probabilities(values, name: str) -> np.ndarray:
+    return np.array([check_probability(v, name) for v in values], dtype=float)
+
+
+def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
+    """Exact :func:`sample_size_specificity` over a whole grid, in one array pass.
+
+    ``m``, ``p_sp``, ``p_esp_lb`` and ``p_conf`` are sequences; every value
+    is checked once, with the scalar function's wording, before any cell is
+    solved.  Returns an int64 array of shape
+    ``(len(m), len(p_conf), len(p_esp_lb), len(p_sp))`` holding each
+    cell's exact ``n``, and 0 where the floor is at or above the target.
+    Raises :class:`InfeasibleError` for the first cell whose floor shares
+    the target's coverage quantile, else for the first cell (in that order)
+    that no ``n`` up to ``MAX_SUBJECTS`` satisfies.  Warns, like the scalar
+    function, for each ``p_conf <= 0.5`` in order.
+    """
+    m = np.array([check_integer(v, "replicates per subject m", 2) for v in m], dtype=float)
+    p_sp = _probabilities(p_sp, "p_sp")
+    p_esp_lb = _probabilities(p_esp_lb, "p_esp_lb")
+    p_conf = _probabilities(p_conf, "p_conf")
+    sizes = np.zeros((m.size, p_conf.size, p_esp_lb.size, p_sp.size), dtype=np.int64)
+    cells = np.nonzero(np.broadcast_to(p_esp_lb[:, None] < p_sp, sizes.shape))
+    mi, ci, li, si = cells
+    if mi.size == 0:
+        return sizes
+    for conf in p_conf.tolist():
+        if conf <= 0.5:
+            _warn_low_confidence(conf)
+
+    # sample_size_specificity's derivation, float for float, on every cell
+    z = _coverage_quantiles(p_sp)[si]
+    z_lb = _coverage_quantiles(p_esp_lb)[li]
+    shared = np.flatnonzero(z_lb >= z)
+    if shared.size:
+        i = shared[0]
+        raise _no_separation(float(p_sp[si[i]]), float(p_esp_lb[li[i]]),
+                             float(z[i]), float(z_lb[i]))
+    # numpy squares exactly, where Python's ** calls libm's pow and can round
+    # the other way; the hint then moves by one only where raw is within an
+    # ulp of an integer, and two windows that hold the edge agree on it
+    dof = m[mi] - 1.0
+    raw = (_normal_quantiles_above(p_conf)[ci] * z / (z_lb - z)) ** 2 / (2.0 * dof)
+    n = _min_subjects(z_lb / z, dof, p_conf[ci], raw, upper=True)
+    missing = np.flatnonzero(n == 0)
+    if missing.size:
+        i = missing[0]
+        raise _not_reached(float(p_sp[si[i]]), float(p_esp_lb[li[i]]), float(p_conf[ci[i]]))
+    sizes[cells] = n
+    return sizes

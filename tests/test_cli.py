@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,6 +432,20 @@ def test_valid_designs_answer_or_are_infeasible(tmp_path_factory, argv):
 
 
 class TestRetro:
+    @pytest.mark.parametrize("nu,want", [(200, "6.261109837e-14"), (400, "4.057049964e-26")])
+    def test_small_shortfall_keeps_its_digits(self, capsys, nu, want):
+        # P[W < z_lb / z] at 50 digits is 6.2611098365042e-14 and
+        # 4.05704996364525e-26; reported as 1 - (1 - p) they read
+        # 6.261657859e-14 and 0
+        z = mp.sqrt(2) * mp.erfinv(mp.mpf(0.95))
+        ratio = mp.sqrt(2) * mp.erfinv(mp.mpf(0.80)) / z
+        exact = mp.gammainc(mp.mpf(nu) / 2, 0, nu * ratio * ratio / 2, regularized=True)
+        payload = run_json(capsys, "retro", "--nu", str(nu), "--psp", "0.95",
+                           "--bound", "0.80")
+        got = one(payload, "prob_effective_specificity_below[0.8]", "exact")
+        assert got == pytest.approx(float(exact), rel=1e-9)
+        assert f"{got:.10g}" == want
+
     def test_reference_assessment(self, capsys):
         payload = run_json(capsys, "retro", "--n", "35", "--bound", "0.94",
                            "--delta", "4")
@@ -849,6 +864,35 @@ class TestTables:
         warnings = json.loads(out)["warnings"]
         assert len(warnings) == 1
         assert "p_conf=0.5 is at or below 0.5" in warnings[0]
+
+    @pytest.mark.parametrize("lists,message", [
+        (("--esp-lb-list", "1.5"),
+         "p_esp_lb must lie strictly inside (0, 1), got 1.5"),
+        (("--conf-list", "1.5", "--esp-lb-list", "0.99", "--psp-list", "0.9"),
+         "p_conf must lie strictly inside (0, 1), got 1.5"),
+        (("--m-list", "1", "--esp-lb-list", "0.99", "--psp-list", "0.9"),
+         "replicates per subject m must be an integer >= 2, got 1"),
+        (("--m-list", "2,0"),
+         "replicates per subject m must be an integer >= 2, got 0"),
+    ])
+    def test_every_value_is_checked_before_any_file(self, capsys, tmp_path, lists, message):
+        # blank cells and later grids used to leave these values unchecked
+        out = tmp_path / "tables"
+        code, stdout, err = run(capsys, "tables", "--out", str(out), *lists)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == f"repeatkit: usage error: {message}\n"
+        assert not out.exists()
+
+    def test_shared_coverage_quantile_is_infeasible(self, capsys, tmp_path):
+        for argv in (("samplesize-spec", "--m", "2", "--psp", "0.5",
+                      "--esp-lb", "0.49999999999999994", "--conf", "0.95"),
+                     ("tables", "--out", str(tmp_path), "--psp-list", "0.5",
+                      "--esp-lb-list", "0.49999999999999994")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_INFEASIBLE
+            assert out == ""
+            assert "coverage quantile is not below the target's" in err
 
     def test_unwritable_output_exits_73(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repeatkit
 from repeatkit import (
@@ -37,7 +37,8 @@ DATA_ONLY = {"TestRetestData", "LongitudinalPair", "estimate_wsd", "decide_chang
 # Results that are probabilities, so must lie in [0, 1].
 RETURNS_PROBABILITY = {
     "effective_specificity_given_ratio", "expected_effective_specificity",
-    "specificity_confidence", "specificity_lower_bound", "sensitivity",
+    "specificity_shortfall", "specificity_confidence", "specificity_lower_bound",
+    "sensitivity",
     "effective_sensitivity_given_ratio", "expected_effective_sensitivity",
     "sensitivity_confidence", "sensitivity_lower_bound",
 }
@@ -129,6 +130,21 @@ def _calls(draw):
     return name, fn, {p: draw(_strategy(p)) for p in _params(fn)}
 
 
+# A floor one double below the target whose coverage quantile equals the
+# target's: the closed form divided by z_lb - z = 0.
+_SHARED_QUANTILE = [
+    ("sample_size_specificity", dict(m=2, p_sp=p, p_esp_lb=math.nextafter(p, 0.0),
+                                     p_conf=0.95, method=method))
+    for p in (0.5, 0.75, 0.9, 0.1, 1e-3, 0.999999) for method in MethodChoice]
+
+
+def _with_examples(test):
+    for name, kwargs in _SHARED_QUANTILE:
+        test = example((name, CALLABLES[name], kwargs))(test)
+    return test
+
+
+@_with_examples
 @given(_calls())
 @settings(max_examples=600, deadline=None)
 def test_valid_arguments_answer_or_raise_repeatkit_error(call):

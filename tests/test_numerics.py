@@ -12,6 +12,7 @@ from scipy import stats
 from repeatkit.errors import DomainError
 from repeatkit.numerics import (
     check_integer,
+    check_probability,
     check_real,
     min_integer_satisfying,
     normal_cdf,
@@ -48,6 +49,21 @@ class TestArgumentChecks:
         for bad in (True, "x", None):
             with pytest.raises(DomainError, match=r"^delta must be a real number, got "):
                 check_real(bad, "delta")
+
+
+    def test_probability_is_a_real_in_range(self):
+        assert check_probability(np.float64(0.25), "p") == 0.25
+        with pytest.raises(DomainError, match=r"^p must lie strictly inside \(0, 1\), "
+                                              r"got 1\.5$"):
+            check_probability(1.5, "p")
+        with pytest.raises(DomainError, match=r"^p must lie strictly inside \(0, 1\), "
+                                              r"got 0\.0$"):
+            check_probability(0, "p")
+        with pytest.raises(DomainError, match=r"^p must be finite, got nan$"):
+            check_probability(float("nan"), "p")
+        for bad in (True, "x", None):
+            with pytest.raises(DomainError, match=r"^p must be a real number, got "):
+                check_probability(bad, "p")
 
 
 class TestNormalCdf:

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
+from repeatkit.core import _normal_quantile_above, ratio_cdf
 from repeatkit.errors import DomainError, InfeasibleError
+from repeatkit.numerics import min_integer_satisfying, normal_quantile
 from repeatkit.sensitivity import (
     EffectSize,
     SensitivityApproximation,
@@ -400,3 +402,42 @@ class TestSampleSizeSensitivity:
         # the floor sits just below the attainable 0.8074294794
         with pytest.raises(InfeasibleError, match="10000000"):
             sample_size_sensitivity(2, 4.0, 0.95, 0.807429479, 0.99, MethodChoice.EXACT)
+
+
+def _scalar_search(m, delta, p_sp, lb, conf, method, approximation):
+    # The exact n as it was found before the shared window search:
+    # min_integer_satisfying over ratio_cdf at the cap u from the hint.
+    u, z, d = sensitivity_module._ratio_cap(EffectSize(delta), p_sp, lb, approximation)
+    denom = _normal_quantile_above(lb) + d - z
+    raw = (normal_quantile(conf) * z / denom) ** 2 / (2.0 * (m - 1)) if denom > 0.0 else None
+    try:
+        return min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= conf,
+                                      start_hint=max(1, math.ceil(raw)) if raw else 1)
+    except InfeasibleError:
+        return "infeasible"
+
+
+@pytest.mark.parametrize("method,approximation", [
+    (MethodChoice.EXACT, ONE_SIDED), (MethodChoice.EXACT, TWO_SIDED),
+    (MethodChoice.ASYMPTOTIC, TWO_SIDED)])
+def test_search_matches_scalar_search(method, approximation):
+    rng = np.random.default_rng(16)
+    compared = 0
+    for _ in range(300):
+        m = int(rng.integers(2, 6))
+        p_sp, lb, conf = (float(round(rng.uniform(lo, hi), 3)) for lo, hi in
+                          ((0.80, 0.995), (0.30, 0.99), (0.50, 0.999)))
+        delta = float(round(rng.uniform(0.5, 8.0), 3))
+        try:
+            want = _scalar_search(m, delta, p_sp, lb, conf, method, approximation)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                sample_size_sensitivity(m, delta, p_sp, lb, conf, method, approximation)
+            continue
+        try:
+            got = sample_size_sensitivity(m, delta, p_sp, lb, conf, method, approximation).n
+        except InfeasibleError:
+            got = "infeasible"
+        assert got == want, (m, delta, p_sp, lb, conf)
+        compared += 1
+    assert compared > 100

@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
+from repeatkit import core
+from repeatkit.cli import TABLE_CONF_VALUES, TABLE_LB_VALUES, TABLE_M_VALUES, TABLE_PSP_VALUES
+from repeatkit.core import _normal_quantile_above, ratio_cdf, symmetric_coverage_quantile
 from repeatkit.errors import DomainError, InfeasibleError
-from repeatkit.numerics import normal_quantile
+from repeatkit.numerics import min_integer_satisfying, normal_quantile
 from repeatkit.specificity import (
     MethodChoice,
     SampleSizeResult,
@@ -23,8 +26,10 @@ from repeatkit.specificity import (
     effective_specificity_pdf,
     expected_effective_specificity,
     sample_size_specificity,
+    sample_size_specificity_grid,
     specificity_confidence,
     specificity_lower_bound,
+    specificity_shortfall,
 )
 
 Z_95 = 1.9599639845400536
@@ -324,3 +329,156 @@ class TestSampleSizeSpecificity:
         assert n2 == 54 and n3 == 27
         assert n2 * 1 == n3 * 2
 
+
+
+def _scalar_search(m, p_sp, lb, conf):
+    # The exact n cell by cell, as it was found before the window search:
+    # min_integer_satisfying over ratio_cdf from the asymptotic hint.  None
+    # for a blank cell, "infeasible" past MAX_SUBJECTS.
+    if lb >= p_sp:
+        return None
+    z = symmetric_coverage_quantile(p_sp)
+    z_lb = symmetric_coverage_quantile(lb)
+    raw = (_normal_quantile_above(conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
+    ratio = z_lb / z
+    try:
+        return min_integer_satisfying(
+            lambda n: 1.0 - ratio_cdf(ratio, n * (m - 1)) >= conf,
+            start_hint=max(1, math.ceil(raw)))
+    except InfeasibleError:
+        return "infeasible"
+
+
+def _assert_grid_matches_scalar_search(ms, psps, lbs, confs):
+    # the grid and the one-design function against the scalar search, cell by cell
+    sizes = sample_size_specificity_grid(ms, psps, lbs, confs)
+    assert sizes.shape == (len(ms), len(confs), len(lbs), len(psps))
+    got, one, want = [], [], []
+    for i, m in enumerate(ms):
+        for j, conf in enumerate(confs):
+            for k, lb in enumerate(lbs):
+                for h, psp in enumerate(psps):
+                    got.append(int(sizes[i, j, k, h]) or None)
+                    one.append(sample_size_specificity(m, psp, lb, conf).n if lb < psp else None)
+                    want.append(_scalar_search(m, psp, lb, conf))
+    assert got == want
+    assert one == want
+
+
+def _plan_shaped_grid(seed):
+    # the shape of a planning grid: 6 confidences, floors and targets each,
+    # 3 decimals, the floors reaching past the largest target
+    rng = np.random.default_rng(seed)
+
+    def draw(lo, hi):
+        return sorted(set(np.round(rng.uniform(lo, hi, 6), 3).tolist()))
+
+    return (2, 3, 4, 5), draw(0.90, 0.995), draw(0.70, 0.999), draw(0.80, 0.99)
+
+
+class TestSampleSizeGrid:
+    """The one-pass grid search against the cell-by-cell search it replaced."""
+
+    def test_published_grid_matches_scalar_search(self):
+        _assert_grid_matches_scalar_search(TABLE_M_VALUES, TABLE_PSP_VALUES,
+                                           TABLE_LB_VALUES, TABLE_CONF_VALUES)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_plan_shaped_grid_matches_scalar_search(self, seed):
+        _assert_grid_matches_scalar_search(*_plan_shaped_grid(seed))
+
+    def test_unsettled_window_falls_back_to_the_search(self, monkeypatch):
+        # the asymptotic hint is 4092 and the exact n 4097, past the window
+        hints = []
+
+        def counting(predicate, start_hint):
+            hints.append(start_hint)
+            return min_integer_satisfying(predicate, start_hint)
+
+        monkeypatch.setattr(core, "min_integer_satisfying", counting)
+        sizes = sample_size_specificity_grid([2, 3], [0.95, 0.901], [0.894], [0.966])
+        assert hints == [4092]
+        assert sizes[:, 0, 0].tolist() == [[_scalar_search(2, 0.95, 0.894, 0.966), 4097],
+                                           [_scalar_search(3, 0.95, 0.894, 0.966),
+                                            _scalar_search(3, 0.901, 0.894, 0.966)]]
+
+    def test_any_hint_gives_the_same_n(self):
+        # windows far from the answer, on either side and at both ends of the
+        # range, all fall back and find it
+        z, z_lb = symmetric_coverage_quantile(0.95), symmetric_coverage_quantile(0.90)
+        raw = np.array([1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
+        n = core._min_subjects(np.full(6, z_lb / z), np.ones(6), np.full(6, 0.95), raw,
+                               upper=True)
+        assert n.tolist() == [54] * 6
+        assert [core._min_subject(z_lb / z, 1.0, 0.95, r, upper=True) for r in raw] == [54] * 6
+
+    def test_infeasible_at_max_subjects(self):
+        assert _scalar_search(2, 0.95, 0.9499999, 0.99) == "infeasible"
+        with pytest.raises(InfeasibleError, match="^no sample size up to 10000000 reaches "
+                                                  "confidence 0.99 for floor 0.9499999 at "
+                                                  "target 0.95$"):
+            sample_size_specificity(2, 0.95, 0.9499999, 0.99)
+        # the grid names its first such cell in (m, p_conf, p_esp_lb, p_sp) order,
+        # after feasible and blank cells, as the scalar function would
+        assert _scalar_search(5, 0.95, 0.9499999, 0.9) == "infeasible"
+        with pytest.raises(InfeasibleError) as scalar:
+            sample_size_specificity(5, 0.95, 0.9499999, 0.9)
+        with pytest.raises(InfeasibleError) as grid:
+            sample_size_specificity_grid([5, 2], [0.9, 0.95], [0.8, 0.9499999], [0.9, 0.99])
+        assert str(grid.value) == str(scalar.value)
+
+    def test_shared_coverage_quantile_is_infeasible(self):
+        lb = math.nextafter(0.5, 0.0)
+        with pytest.raises(InfeasibleError, match="coverage quantile is not below"):
+            sample_size_specificity_grid([2], [0.5], [lb], [0.95])
+        for method in MethodChoice:
+            with pytest.raises(InfeasibleError, match="coverage quantile is not below"):
+                sample_size_specificity(2, 0.5, lb, 0.95, method)
+
+    def test_every_value_is_checked_once_even_in_blank_grids(self):
+        # 1.5 blanks every cell, and is still rejected
+        with pytest.raises(DomainError, match=r"^p_esp_lb must lie strictly inside "
+                                              r"\(0, 1\), got 1\.5$"):
+            sample_size_specificity_grid([2], [0.9], [1.5], [0.95])
+        with pytest.raises(DomainError, match=r"^p_conf must lie strictly inside"):
+            sample_size_specificity_grid([2], [0.9], [0.99], [1.5])
+        with pytest.raises(DomainError, match=r"^replicates per subject m must be an "
+                                              r"integer >= 2, got 1$"):
+            sample_size_specificity_grid([2, 1], [0.9], [0.99], [0.95])
+        with pytest.raises(DomainError, match=r"^p_sp must be a real number"):
+            sample_size_specificity_grid([2], ["x"], [0.8], [0.95])
+
+    def test_blank_and_empty_grids(self):
+        assert sample_size_specificity_grid([2, 3], [0.9], [0.9, 0.95], [0.95]).tolist() \
+            == [[[[0], [0]]], [[[0], [0]]]]
+        assert sample_size_specificity_grid([], [0.9], [0.8], [0.95]).shape == (0, 1, 1, 1)
+
+    def test_low_confidence_warns_once_per_value_in_order(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample_size_specificity_grid([2, 3], [0.95], [0.9], [0.4, 0.95, 0.3])
+        assert [str(w.message).split(" ")[0] for w in caught] == ["p_conf=0.4", "p_conf=0.3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sample_size_specificity_grid([2], [0.95], [0.99], [0.4])  # all blank
+        assert caught == []
+
+
+class TestSpecificityShortfall:
+    @pytest.mark.parametrize("nu", [200, 400])
+    def test_small_shortfalls_keep_their_digits(self, nu):
+        # P[W < z_lb / z] at 50 digits; 1 - specificity_confidence loses it
+        z = mp.sqrt(2) * mp.erfinv(mp.mpf(0.95))
+        ratio = mp.sqrt(2) * mp.erfinv(mp.mpf(0.80)) / z
+        want = mp.gammainc(mp.mpf(nu) / 2, 0, nu * ratio * ratio / 2, regularized=True)
+        got = specificity_shortfall(nu, 0.95, 0.80)
+        # the ratio's rounding alone moves the answer by about 1e-13 here
+        assert got == pytest.approx(float(want), rel=1e-12)
+        assert specificity_confidence(nu, 0.95, 0.80) == 1.0 - got
+
+    def test_asymptotic_is_the_normal_cdf(self):
+        z = mp.sqrt(2) * mp.erfinv(mp.mpf(0.95))
+        ratio = mp.sqrt(2) * mp.erfinv(mp.mpf(0.80)) / z
+        want = mp.ncdf((ratio - 1) * mp.sqrt(800))
+        got = specificity_shortfall(400, 0.95, 0.80, MethodChoice.ASYMPTOTIC)
+        assert got == pytest.approx(float(want), rel=1e-12)
