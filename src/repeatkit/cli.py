@@ -473,8 +473,7 @@ def _columns(sids, indices, values):
     """``(names, codes, values)`` of the data rows' three columns, or None if any row is invalid.
 
     Parses with ``int`` and ``float`` exactly as a row-by-row reader would.
-    A duplicate ``(subject_id, replicate_index)`` shows as two equal
-    neighbours once the rows' ``(code, index rank)`` keys are sorted.
+    A name is a distinct id, in order of first appearance.
     """
     sids = list(map(str.strip, sids))
     if "" in sids:
@@ -484,16 +483,131 @@ def _columns(sids, indices, values):
         values = np.fromiter(map(float, values), np.float64, len(values))
     except (ValueError, OverflowError):
         return None
-    if idx.min() < 1 or not np.isfinite(values).all():
-        return None
     names = list(dict.fromkeys(sids))
     lookup = {name: code for code, name in enumerate(names)}
     codes = np.fromiter(map(lookup.__getitem__, sids), np.intp, len(sids))
+    return _checked(names, codes, idx, values)
+
+
+def _checked(names, codes, idx, values):
+    """``(names, codes, values)``, or None if an index or a value is invalid.
+
+    A duplicate ``(subject_id, replicate_index)`` shows as two equal
+    neighbours once the rows' ``(code, index rank)`` keys are sorted.
+    """
+    if idx.min() < 1 or not np.isfinite(values).all():
+        return None
     distinct, rank = np.unique(idx, return_inverse=True)
     keys = np.sort(codes * distinct.size + rank)
     if np.any(keys[1:] == keys[:-1]):
         return None
     return names, codes, values
+
+
+_HEADER = b"subject_id,replicate_index,value\n"
+# Bytes that make csv.reader's rows differ from a plain split on "," and "\n"
+# (a quote, another line end, NUL), or that numpy's parser skips as blanks
+# inside a number where int() and float() reject them (\x1c to \x1f).
+_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Widest parsed id column, a multiple of 8 bytes; an id that fills it may
+# have been cut short.
+_MAX_ID_WIDTH = 64
+# Longest line of a plain file: the smallest digit limit Python lets int() have.
+_MAX_PLAIN_LINE = 640
+# Odd multiplier of the id hash (2**64 over the golden ratio).
+_HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _load_study(data: bytes, source: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """:func:`_read_study` of a measurement CSV given as its bytes.
+
+    A plain file is parsed by numpy's C reader (:func:`_plain_columns`).
+    Any other file, and any plain file that fails a check, goes unchanged
+    to :func:`_read_study`, so every error it reports is that reader's.
+    """
+    columns = _plain_columns(data)
+    if columns is None:
+        return _read_study(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                           source)
+    return columns
+
+
+def _plain_columns(data: bytes):
+    """``(names, codes, values)`` of a plain, valid measurement CSV, else None.
+
+    Plain means: UTF-8, the exact header line, no byte of ``_NOT_PLAIN``,
+    and no line longer than ``_MAX_PLAIN_LINE`` or csv's field size limit.
+    Its rows are then a split on "," and "\\n", and ``np.loadtxt`` parses
+    the numbers as ``int`` and ``float`` would, or fails.  The file is
+    valid when ``loadtxt`` parses it without a warning (there is a data
+    row), the ids group without a hash collision (:func:`_id_codes`), no
+    id fills its column, every id is non-empty and equal to its
+    ``strip()``, every subject has 2 rows or more and :func:`_checked`
+    accepts the columns.  None answers the same as :func:`_read_study`
+    would, so the caller can hand the file to it.
+    """
+    if not data.startswith(_HEADER) or any(b in data for b in _NOT_PLAIN):
+        return None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    longest = int(np.diff(ends, append=len(data)).max()) - 1
+    if longest > min(_MAX_PLAIN_LINE, csv.field_size_limit()):
+        return None
+    # a parsed row's id is shorter than its line: only a capped column can cut one
+    width = min(-(-longest // 8) * 8, _MAX_ID_WIDTH)
+    try:
+        with _warnings.catch_warnings():
+            # an empty body warns; no warning of this path reaches the report
+            _warnings.simplefilter("error")
+            table = np.loadtxt(io.BytesIO(data), delimiter=",", quotechar=None, comments=None,
+                               skiprows=1, ndmin=1,
+                               dtype=[("s", f"S{width}"), ("i", "i8"), ("v", "f8")])
+    except (ValueError, OverflowError, Warning):
+        return None
+    coded = _id_codes(table["s"])
+    if coded is None:
+        return None
+    codes, firsts = coded
+    names = table["s"][firsts].tolist()
+    if max(map(len, names)) == width:
+        return None
+    names = list(map(bytes.decode, names))
+    if "" in names or list(map(str.strip, names)) != names or np.bincount(codes).min() < 2:
+        return None
+    return _checked(names, codes, table["i"], table["v"].copy())
+
+
+def _id_codes(ids: np.ndarray):
+    """Each row's code, and the row where each code's id first appears; None on a collision.
+
+    ``ids`` is a bytes column whose width is a multiple of 8.  Rows are
+    grouped by a sort of a 64-bit hash of each id's words, which is the id
+    itself when it fits one word; a group's code is its rank by first row.
+    Two different ids with the same hash are a collision.
+    """
+    n = ids.size
+    words = np.ascontiguousarray(ids).view(np.uint64).reshape(n, -1)
+    key = words[:, 0].copy()
+    for column in words.T[1:]:
+        key *= _HASH_STEP  # modulo 2**64
+        key += column
+    order = np.argsort(key)
+    key, words = key[order], words[order]
+    same = key[1:] == key[:-1]
+    if (same & (words[1:] != words[:-1]).any(axis=1)).any():
+        return None
+    starts = np.flatnonzero(np.append(True, ~same))
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    codes = np.empty(n, np.intp)
+    codes[order] = np.repeat(rank, np.diff(starts, append=n))
+    return codes, first[by_first]
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -541,22 +655,22 @@ def _check_rows(rows: list[list[str]], source: str, first_line: int) -> None:
         seen.add((sid, idx))
 
 
+def _input_bytes(source: str) -> bytes:
+    """The bytes of the ``--csv`` input; stdin (``-``) is read whole and left open."""
+    if source == "-":
+        return sys.stdin.buffer.read()
+    try:
+        with open(source, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DataValidationError(f"cannot read {source}: {e}") from None
+
+
 def cmd_estimate(args) -> ReportEnvelope:
     check_probability(args.psp, "p_sp")
     source = args.csv
-    if source == "-":
-        # decoded like a file; detached after, so stdin itself stays open
-        stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
-        try:
-            names, codes, values = _read_study(stream, "<stdin>")
-        finally:
-            stream.detach()
-    else:
-        try:
-            with open(source, newline="", encoding="utf-8") as fh:
-                names, codes, values = _read_study(fh, source)
-        except OSError as e:
-            raise DataValidationError(f"cannot read {source}: {e}") from None
+    names, codes, values = _load_study(_input_bytes(source),
+                                       "<stdin>" if source == "-" else source)
     env = ReportEnvelope(
         command="estimate",
         inputs={"csv": source, "psp": args.psp,

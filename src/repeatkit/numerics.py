@@ -2,15 +2,15 @@
 
 Three primitives live here: one check per kind of argument, whose errors
 name the argument (:func:`check_integer` for counts, ``int`` or numpy
-integers but never bools or floats; :func:`check_real` for finite reals,
-never bools; :func:`check_probability`, which is :func:`check_real` plus
-the open interval (0, 1)), the standard normal CDF/quantile pair, and the
-monotone integer search.  The normal pair delegates to ``scipy.special``
-(``erfc``, ``ndtri``); the CDF is defined at ±inf and rejects NaN.  Both
-also accept numpy arrays, which the simulation transforms in bulk.  The
-law of W, and the window search over it behind every exact sample size,
-live in :mod:`repeatkit.core`; the integer search here settles the cells
-that a window leaves open.
+integers up to the largest double but never bools or floats;
+:func:`check_real` for finite reals, never bools; :func:`check_probability`,
+which is :func:`check_real` plus the open interval (0, 1)), the standard
+normal CDF/quantile pair, and the monotone integer search.  The normal
+pair delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is
+defined at ±inf and rejects NaN.  Both also accept numpy arrays, which the
+simulation transforms in bulk.  The law of W, and the window search over it
+behind every exact sample size, live in :mod:`repeatkit.core`; the integer
+search here settles the cells that a window leaves open.
 """
 
 from __future__ import annotations
@@ -63,9 +63,18 @@ def check_probability(value, name: str = "probability") -> float:
 
 
 def check_integer(value, name: str, minimum: int = 1) -> int:
-    """Validate a count: an ``int`` or numpy integer, not a bool, ``>= minimum``."""
+    """Validate a count: an ``int`` or numpy integer, not a bool, ``>= minimum``.
+
+    A count must also convert to a float, so it is at most the largest double.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # too long to print in full: name its size instead
+        raise DomainError(f"{name} must be an integer no larger than the largest double, "
+                          f"got one of {value.bit_length()} bits") from None
     return int(value)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from repeatkit import __version__, cli
@@ -267,6 +267,10 @@ class TestSampleSizeSens:
         assert "use the exact method" in payload["warnings"][0]
 
 
+# a count that float() cannot hold
+_BEYOND_DOUBLE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (("samplesize-spec", "--esp-lb", "0.9", "--psp", "1.5"), "p_sp"),
     (("retro", "--n", "10", "--conf", "0"), "p_conf"),
@@ -276,6 +280,13 @@ class TestSampleSizeSens:
     (("retro", "--n", "10", "--psp", "1.5"), "p_sp"),
     (("figure-data", "--figure", "2", "--out", "{tmp}", "--psp", "1.5"), "p_sp"),
     (("samplesize-sens", "--delta", "inf", "--ese-lb", "0.7"), "delta"),
+    # counts beyond the largest double
+    (("samplesize-spec", "--esp-lb", "0.9", "--m", _BEYOND_DOUBLE), "replicates per subject m"),
+    (("samplesize-sens", "--delta", "4", "--ese-lb", "0.7", "--m", _BEYOND_DOUBLE),
+     "replicates per subject m"),
+    (("retro", "--n", _BEYOND_DOUBLE), "n_subjects"),
+    (("retro", "--nu", _BEYOND_DOUBLE), "nu must be"),
+    (("tables", "--out", "{tmp}", "--m-list", _BEYOND_DOUBLE), "replicates per subject m"),
 ])
 def test_out_of_domain_values_exit_64(capsys, tmp_path, argv, fragment):
     # the flags parse; the library rejects their values
@@ -532,19 +543,24 @@ class TestEstimate:
         assert one(payload, "wsd_hat") == pytest.approx(1.825741858, abs=1e-8)
         assert not stdin.buffer.closed
 
-    @pytest.mark.parametrize("content", [
-        b"subject_id,replicate_index,value\nA\xff,1,2\nA\xff,2,3\nB,1,1\nB,2,1\n",
-        b"subject_id,replicate_index,value\rA,1,2\rA,2,3\rB,1,1\rB,2,1\r",
-    ], ids=["not-utf8", "cr-line-ends"])
-    def test_stdin_reads_like_a_file(self, capsys, tmp_path, content):
-        # the interpreter's own stdin, not a stand-in for it
+    @pytest.mark.parametrize("content,plain", [
+        (b"subject_id,replicate_index,value\nA\xff,1,2\nA\xff,2,3\nB,1,1\nB,2,1\n", False),
+        (b"subject_id,replicate_index,value\rA,1,2\rA,2,3\rB,1,1\rB,2,1\r", False),
+        (FIXTURE_CSV.encode(), True),
+        (b'subject_id,replicate_index,value\n"A",1,2\n"A",2,3\nB,1,1\nB,2,1\n', False),
+    ], ids=["not-utf8", "cr-line-ends", "plain", "quoted"])
+    def test_stdin_reads_like_a_file(self, capsys, tmp_path, content, plain):
+        # the interpreter's own stdin, not a stand-in for it; a plain file is
+        # parsed by numpy, the others by the row-by-row reader
+        assert (cli._plain_columns(content) is not None) == plain
         path = tmp_path / "study.csv"
         path.write_bytes(content)
-        file_code, _, file_err = run(capsys, "estimate", "--csv", str(path))
-        proc = subprocess.run([sys.executable, "-m", "repeatkit", "estimate", "--csv", "-"],
-                              input=content, capture_output=True)
-        assert (proc.returncode, proc.stderr.decode()) == \
-            (file_code, file_err.replace(str(path), "<stdin>"))
+        file_code, file_out, file_err = run(capsys, "estimate", "--csv", str(path),
+                                            "--format", "csv")
+        proc = subprocess.run([sys.executable, "-m", "repeatkit", "estimate", "--csv", "-",
+                               "--format", "csv"], input=content, capture_output=True)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
+            (file_code, file_out, file_err.replace(str(path), "<stdin>"))
 
     def test_constant_data_warns_twice(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
@@ -580,6 +596,8 @@ class TestEstimate:
         ("subject_id,replicate_index,value\nA,1,1e308\nA,2,-1e308\nB,1,0\nB,2,0\n",
          "the repeatability coefficient exceeds the largest double"),
         (b"subject_id,replicate_index,value\nA,2,\xff2\n", "bad.csv: not UTF-8 text"),
+        # numpy's parser would read the lone byte as a blank
+        (b"subject_id,replicate_index,value\nA,1,2\xa0\nA,2,3\n", "bad.csv: not UTF-8 text"),
         pytest.param('subject_id,replicate_index,value\n"' + "x" * 200_000 + '",1,2\n',
                      "bad.csv:2: field larger than field limit", id="oversized-field"),
     ])
@@ -680,7 +698,10 @@ class TestEstimate:
 def _reference_read_study(text, source):
     """Row-by-row reading of a measurement CSV: the behaviour ``_read_study`` keeps."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as e:
+        raise DataValidationError(f"{source}:{reader.line_num}: {e}") from None
     if not rows:
         raise DataValidationError(f"{source}: empty file")
     header, rows = rows[0], rows[1:]
@@ -743,26 +764,41 @@ def _outcome(read, *args):
     return names, list(codes), [float(v).hex() for v in values]
 
 
-# ids with embedded commas, quotes, line breaks and padding; " A" and "A " strip to "A"
-_SIDS = ["A", "B", "S000001", "x,y", 'say "hi"', "p\nq", "r\r\ns", "t\ru", " A", "A ", "é"]
+# ids that numpy's parser can take; the longest is one byte short of filling
+# the widest id column
+_PLAIN_SIDS = ["A", "B", "S000001", "é", "V" * (cli._MAX_ID_WIDTH - 1)]
+# ids with embedded commas, quotes, line breaks and padding; " A", "A " and
+# "\xa0A" strip to "A"
+_SIDS = _PLAIN_SIDS + ["x,y", 'say "hi"', "p\nq", "r\r\ns", "t\ru", " A", "A ", "\xa0A",
+                       "W" * cli._MAX_ID_WIDTH]
+# numbers that int() or float() read or reject, some of which numpy's parser
+# reads differently (underscores, a blank of \x1c to \x1f)
 _BAD_CELLS = [
     (0, ""), (0, "   "),
-    (1, "0"), (1, "-2"), (1, "x"), (1, "1.5"), (1, ""), (1, " 2 "),
+    (1, "0"), (1, "-2"), (1, "x"), (1, "1.5"), (1, ""), (1, " 2 "), (1, "1_0"), (1, "2.0"),
+    (1, "+3"), (1, "-0"), (1, "007"), (1, "\x1c2"), (1, "2\x1f"),
     (1, "9223372036854775807"), (1, "9223372036854775808"), (1, "-9223372036854775809"),
     (2, "nan"), (2, "inf"), (2, "-inf"), (2, "1e999"), (2, "abc"), (2, ""), (2, " 3.5 "),
+    (2, " 1.5 "), (2, ".5"), (2, "5."), (2, "1_0.5"), (2, "\t2"), (2, "2\x1e"),
 ]
 
 
 @st.composite
 def _study_text(draw):
+    # two files in three are plain: unquoted "\n" rows joined by "," as they
+    # are, mostly of plain ids and with fewer faults
+    plain = draw(st.sampled_from([True, True, False]))
+    sids = draw(st.lists(st.sampled_from(
+        _PLAIN_SIDS if plain and draw(st.sampled_from([True, True, True, False])) else _SIDS),
+        min_size=1, max_size=5, unique=True))
     rows = []
-    for sid in draw(st.lists(st.sampled_from(_SIDS), min_size=1, max_size=5, unique=True)):
+    for sid in sids:
         # now and then a subject measured once
-        for j in range(draw(st.sampled_from([1, 2, 2, 2, 3, 3, 4, 4]))):
+        for j in range(draw(st.sampled_from([2, 2, 2, 3, 3, 4, 4, 1]))):
             value = draw(st.floats(allow_nan=False, allow_infinity=False))
             rows.append([sid, str(j + 1), repr(value)])
     rows = draw(st.permutations(rows))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2] if plain else [0, 0, 1, 1, 2, 3]))):
         kind = draw(st.sampled_from(["blank", "blank", "cell", "duplicate", "short", "long"]))
         k = draw(st.integers(0, len(rows) - 1))
         if kind == "blank":
@@ -776,24 +812,97 @@ def _study_text(draw):
             rows[k] = rows[k][:-1]
         else:
             rows[k] = rows[k] + ["extra"]
+    header = draw(st.sampled_from(
+        [["subject_id", "replicate_index", "value"]] * (14 if plain else 6)
+        + [[" subject_id", "replicate_index ", "value"], ["id", "replicate_index", "value"]]))
+    if plain:
+        text = "".join(",".join(row) + "\n" for row in [header] + rows)
+        return text[:-1] if draw(st.booleans()) else text
     buf = io.StringIO()
     # a lone CR inside an id is quoted only under QUOTE_ALL or a CR line end
     writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
                         quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
-    writer.writerow(draw(st.sampled_from(
-        [["subject_id", "replicate_index", "value"]] * 6
-        + [[" subject_id", "replicate_index ", "value"], ["id", "replicate_index", "value"]])))
+    writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
 
+_HEADER = "subject_id,replicate_index,value\n"
+
+
+def _reader_examples(test):
+    # each number of _BAD_CELLS in a plain file that is valid around it
+    for col, cell in _BAD_CELLS:
+        row = ["A", "3", "1.25"]
+        row[col] = cell
+        test = example(_HEADER + "A,1,2\nA,2,4\nB,1,0\nB,2,1\n" + ",".join(row) + "\n")(test)
+    for body in [
+        "A,1\nA,2,3,4\nB,1,1\nB,2,2\n",  # 2 fields, then 4: six in all
+        "A,1,2,\nA,2,3,\n",  # a trailing comma
+        "A,1,2\n\nA,2,3\n\n\n",  # blank lines
+        "A,1,2\n \nA,2,3\n\t\n",  # whitespace-only lines
+        "\n\n",  # no data row
+        "",
+        "A,1,2\nA,2,3\n,1,1\n,2,2\n",  # an empty id, twice
+        "A\x00,1,2\nA,2,3\n",  # numpy drops a trailing NUL
+        "\xa0A,1,2\nA,2,3\n",  # "\xa0A" strips to "A"
+        "A\xa0,1,2\nA\xa0,2,3\n",
+        # an id as wide as the widest column, and one cut to the same bytes
+        "A,1,2\nA,2,3\n" + "W" * cli._MAX_ID_WIDTH + ",1,1\n" + "W" * cli._MAX_ID_WIDTH + ",2,2\n",
+        "W" * cli._MAX_ID_WIDTH + ",1,1\n" + "W" * (cli._MAX_ID_WIDTH + 1) + ",2,2\n",
+        "é,1,2\né,2,3\n",
+        # past int()'s digit limit, and past csv's field size limit
+        "A,1,2\nA," + "0" * 5000 + "2,3\n",
+        "A,1,2\nA,2," + "0" * 140_000 + "3\n",
+    ]:
+        test = example(_HEADER + body)(test)
+    test = example("\ufeff" + _HEADER + "A,1,2\nA,2,3\n")(test)  # a UTF-8 BOM
+    return test
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The source of each file the row-by-row reader reads, in order."""
+    sources = []
+    read_study = cli._read_study
+    monkeypatch.setattr(cli, "_read_study",
+                        lambda fh, source: sources.append(source) or read_study(fh, source))
+    return sources
+
+
 class TestReadStudy:
-    @given(text=_study_text())
-    @settings(max_examples=300, deadline=None, database=None)
-    def test_matches_row_by_row_reference(self, text):
-        # the same ids, codes and bit-identical values, or the same error message
-        assert _outcome(cli._read_study, io.StringIO(text, newline=""), "s.csv") == \
-            _outcome(_reference_read_study, text, "s.csv")
+    def test_matches_row_by_row_reference(self, fallbacks):
+        # through the CLI's reader on the file's bytes: the same ids, codes and
+        # bit-identical values as the row-by-row reference, or the same error
+        files = []
+
+        @_reader_examples
+        @given(text=_study_text())
+        @settings(max_examples=600, deadline=None, database=None)
+        def check(text):
+            before = len(fallbacks)
+            assert _outcome(cli._load_study, text.encode(), "s.csv") == \
+                _outcome(_reference_read_study, text, "s.csv")
+            files.append(len(fallbacks) == before)
+
+        check()
+        # a fixed share of the files takes the fast path, so the comparison reaches it
+        assert sum(files) >= 0.2 * len(files), (sum(files), len(files))
+
+    def test_id_hash_collision_falls_back(self, monkeypatch, fallbacks):
+        # with a zero step the hash of a 16-byte id is its second word, so
+        # two ids that differ only in their first 8 bytes collide
+        monkeypatch.setattr(cli, "_HASH_STEP", np.uint64(0))
+        a, b = b"AAAAAAAA12345678", b"BBBBBBBB12345678"
+        assert cli._id_codes(np.array([a, b, a], dtype="S16")) is None
+        codes, firsts = cli._id_codes(np.array([a, a, b + b"x" * 8], dtype="S24"))
+        assert (codes.tolist(), firsts.tolist()) == ([0, 0, 1], [0, 2])
+        a, b = a.decode(), b.decode()
+        text = _HEADER + f"{a},1,2\n{b},1,3\n{a},2,4\n{b},2,5\n"
+        assert _outcome(cli._load_study, text.encode(), "s.csv") == \
+            (["AAAAAAAA12345678", "BBBBBBBB12345678"], [0, 1, 0, 1],
+             [float(v).hex() for v in (2, 3, 4, 5)])
+        assert fallbacks == ["s.csv"]
 
     @pytest.mark.parametrize("header,fragment", [
         ("subject_id,replicate_index,value", "s.csv: not UTF-8 text"),
@@ -801,15 +910,17 @@ class TestReadStudy:
     ])
     def test_decodes_in_file_order(self, tmp_path, header, fragment):
         # the bad byte lies far past the header, in a later decoded chunk
-        path = tmp_path / "s.csv"
-        path.write_bytes(header.encode() + b"\n" + b"A,1,2\nA,2,3\n" * 20_000 + b"B,1,\xff\n")
-        with open(path, newline="", encoding="utf-8") as fh:
-            with pytest.raises(DataValidationError, match=fragment):
-                cli._read_study(fh, "s.csv")
+        data = header.encode() + b"\n" + b"A,1,2\nA,2,3\n" * 20_000 + b"B,1,\xff\n"
+        with pytest.raises(DataValidationError, match=fragment):
+            cli._read_study(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                            "s.csv")
+        with pytest.raises(DataValidationError, match=fragment):
+            cli._load_study(data, "s.csv")
 
-    def test_memory_per_row(self, tmp_path):
+    @staticmethod
+    def _peak_bytes_per_row(tmp_path, quoted):
         # a registry-sized study shaped like the benchmark's: S%06d ids, 2 to 5
-        # replicates per subject, shuffled rows and repr floats
+        # replicates per subject, shuffled rows and repr floats; one id may be quoted
         rng = np.random.default_rng(11)
         rows = 200_000
         counts = rng.integers(2, 6, rows // 3)
@@ -820,19 +931,29 @@ class TestReadStudy:
         values = (rng.normal(100.0, 15.0, counts.size)[codes]
                   + 2.0 * rng.standard_normal(rows)).tolist()
         labels = [f"S{i:06d}" for i in rng.permutation(counts.size)]
+        lines = [f"{labels[codes[i]]},{reps[i]},{values[i]!r}\n"
+                 for i in rng.permutation(rows).tolist()]
+        if quoted:
+            lines[0] = '"' + lines[0].replace(",", '",', 1)
         path = tmp_path / "registry.csv"
-        path.write_text("subject_id,replicate_index,value\n" + "".join(
-            f"{labels[codes[i]]},{reps[i]},{values[i]!r}\n"
-            for i in rng.permutation(rows).tolist()))
+        path.write_text("subject_id,replicate_index,value\n" + "".join(lines))
         tracemalloc.start()
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                _, got, _ = cli._read_study(fh, str(path))
+            _, got, _ = cli._load_study(cli._input_bytes(str(path)), str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got.size == rows
-        assert peak <= 290 * rows, peak / rows
+        return peak / rows
+
+    def test_memory_per_row(self, tmp_path, fallbacks):
+        assert self._peak_bytes_per_row(tmp_path, quoted=False) <= 290
+        assert fallbacks == []
+
+    def test_memory_per_row_fallback(self, tmp_path, fallbacks):
+        # one quoted id sends the whole file to the row-by-row reader
+        assert self._peak_bytes_per_row(tmp_path, quoted=True) <= 290
+        assert fallbacks == [str(tmp_path / "registry.csv")]
 
 
 class TestTables:

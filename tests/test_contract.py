@@ -138,8 +138,14 @@ _SHARED_QUANTILE = [
     for p in (0.5, 0.75, 0.9, 0.1, 1e-3, 0.999999) for method in MethodChoice]
 
 
+# A count that float() cannot hold, in every parameter that takes a count.
+_BEYOND_DOUBLE = [
+    (name, {**{p: VALID[p] for p in _params(fn) if p in VALID}, count: 10**400})
+    for name, fn in sorted(CALLABLES.items()) for count in _params(fn) if count in COUNTS]
+
+
 def _with_examples(test):
-    for name, kwargs in _SHARED_QUANTILE:
+    for name, kwargs in _SHARED_QUANTILE + _BEYOND_DOUBLE:
         test = example((name, CALLABLES[name], kwargs))(test)
     return test
 

@@ -3,6 +3,8 @@
 The chi-square law of W is tested in ``test_core.py``.
 """
 
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -36,6 +38,16 @@ class TestArgumentChecks:
     def test_integer_rejects(self, value):
         with pytest.raises(DomainError, match=r"^nu must be an integer >= 1, got "):
             check_integer(value, "nu")
+
+    def test_integer_is_held_by_a_float(self):
+        # the last integer that rounds to the largest double passes; the next rounds to 2**1024
+        largest = int(sys.float_info.max)
+        assert check_integer(largest + 2**970 - 1, "nu") == largest + 2**970 - 1
+        assert check_integer(2**64 - 1, "seed", 0) == 2**64 - 1
+        for big in (largest + 2**970, 10**400, 10**5000):
+            with pytest.raises(DomainError, match=r"^nu must be an integer no larger than "
+                                                  r"the largest double, got one of \d+ bits$"):
+                check_integer(big, "nu")
 
     def test_real_bounds_and_wording(self):
         assert check_real(0.0, "wsd", 0.0) == 0.0
