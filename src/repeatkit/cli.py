@@ -28,11 +28,10 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import warnings as _warnings
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -404,24 +403,22 @@ def cmd_retro(args) -> ReportEnvelope:
 _MAX_REPLICATE_INDEX = 2**63 - 1
 
 
-def _is_blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse and validate a measurement CSV into columns.
 
     Returns the subject ids in order of first appearance, each data row's
     subject code (its position in that list) and each data row's value.
-    ``csv.reader`` streams its rows into one flat list of fields and a list
-    of row lengths, and keeps no row.  When every row has 3 fields, the
-    columns are strided slices of the flat list and every check runs on
-    whole columns.  Only blank rows, a wrong column count or a failed check
-    rebuild the rows, for :func:`_check_rows` to report the first failing
-    row in file order.
+    One pass over ``csv.reader`` checks each data row (:func:`_parsed`),
+    numbers it by the line it starts on from ``reader.line_num``, and
+    appends a valid row to compact columns of code, replicate index, value
+    and line.  The pass stops checking at the first invalid row but reads
+    on to the end, so a later decode or csv error still wins.  A repeated
+    ``(subject_id, replicate_index)`` before that row (:func:`_first_repeat`)
+    is reported in its place, as it comes first in file order.
     """
     reader = csv.reader(stream)
-    fields, lengths = [], []
+    lookup, error = {}, None
+    codes, indices, values, lines = array("q"), array("q"), array("d"), array("q")
     try:
         header = next(reader, None)
         if header is None:
@@ -430,29 +427,36 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
         if [h.strip() for h in header] != expected:
             raise DataValidationError(
                 f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
-        first_line = reader.line_num + 1
+        line = reader.line_num
         for row in reader:
-            fields += row
-            lengths.append(len(row))
+            start, line = line + 1, reader.line_num
+            if error or not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                sid, index, value = _parsed(row)
+            except DataValidationError as e:
+                error = f"{source}:{start}: {e}"
+                continue
+            codes.append(lookup.setdefault(sid, len(lookup)))
+            indices.append(index)
+            values.append(value)
+            lines.append(start)
     except UnicodeDecodeError:
         # the decoder's offsets count from its current chunk, not the file start
         raise DataValidationError(f"{source}: not UTF-8 text") from None
     except csv.Error as e:
         raise DataValidationError(f"{source}:{reader.line_num}: {e}") from None
-    rows = None
-    if lengths.count(3) != len(lengths):
-        rows = _rows(fields, lengths)
-        data = [row for row in rows if not _is_blank(row)]
-        fields = [f for row in data for f in row]
-        lengths = list(map(len, data))
-    if not lengths:
+    names = list(lookup)
+    codes, indices = np.frombuffer(codes, np.int64), np.frombuffer(indices, np.int64)
+    k = _first_repeat(codes, indices)
+    if k is not None:
+        raise DataValidationError(
+            f"{source}:{lines[k]}: duplicate (subject_id, replicate_index) = "
+            f"({names[codes[k]]}, {indices[k]})")
+    if error:
+        raise DataValidationError(error)
+    if not names:
         raise DataValidationError(f"{source}: no data rows")
-    columns = None
-    if lengths.count(3) == len(lengths):
-        columns = _columns(fields[0::3], fields[1::3], fields[2::3])
-    if columns is None:
-        _check_rows(_rows(fields, lengths) if rows is None else rows, source, first_line)
-    names, codes, values = columns
     counts = np.bincount(codes)
     short = np.flatnonzero(counts < 2)
     if short.size:
@@ -460,55 +464,60 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
         raise DataValidationError(
             f"subject {names[k]!r} has {counts[k]} measurement(s); "
             "at least 2 replicates are required")
-    return names, codes, values
+    return names, codes, np.frombuffer(values)
 
 
-def _rows(fields: list[str], lengths: list[int]) -> list[list[str]]:
-    """The rows that ``lengths`` cut the flat ``fields`` into, in order."""
-    it = iter(fields)
-    return [list(islice(it, n)) for n in lengths]
-
-
-def _columns(sids, indices, values):
-    """``(names, codes, values)`` of the data rows' three columns, or None if any row is invalid.
-
-    Parses with ``int`` and ``float`` exactly as a row-by-row reader would.
-    A name is a distinct id, in order of first appearance.
-    """
-    sids = list(map(str.strip, sids))
-    if "" in sids:
-        return None
+def _parsed(row: list[str]) -> tuple[str, int, float]:
+    """A data row's stripped id, replicate index and value; raises at its first fault."""
+    if len(row) != 3:
+        raise DataValidationError(f"expected 3 columns, got {len(row)}")
+    sid = row[0].strip()
+    if not sid:
+        raise DataValidationError("empty subject_id")
     try:
-        idx = np.fromiter(map(int, indices), np.int64, len(indices))
-        values = np.fromiter(map(float, values), np.float64, len(values))
-    except (ValueError, OverflowError):
+        index = int(row[1])
+    except ValueError:
+        raise DataValidationError(f"replicate_index {row[1]!r} is not an integer") from None
+    if index < 1:
+        raise DataValidationError("replicate_index must be >= 1")
+    try:
+        value = float(row[2])
+    except ValueError:
+        raise DataValidationError(f"value {row[2]!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise DataValidationError(f"value {row[2]!r} is not finite")
+    if index > _MAX_REPLICATE_INDEX:
+        raise DataValidationError(f"replicate_index {row[1]!r} is out of range")
+    return sid, index, value
+
+
+def _first_repeat(codes: np.ndarray, indices: np.ndarray):
+    """The first row, in file order, whose ``(code, index)`` an earlier row has; else None.
+
+    A repeat shows as two equal neighbours once the rows' ``(code, index
+    rank)`` keys are sorted; only then does a stable sort find its row.
+    """
+    distinct, rank = np.unique(indices, return_inverse=True)
+    keys = codes * distinct.size + rank
+    ordered = np.sort(keys)
+    later = ordered[1:] == ordered[:-1]
+    if not later.any():
         return None
-    names = list(dict.fromkeys(sids))
-    lookup = {name: code for code, name in enumerate(names)}
-    codes = np.fromiter(map(lookup.__getitem__, sids), np.intp, len(sids))
-    return _checked(names, codes, idx, values)
+    return int(np.argsort(keys, kind="stable")[1:][later].min())
 
 
 def _checked(names, codes, idx, values):
-    """``(names, codes, values)``, or None if an index or a value is invalid.
-
-    A duplicate ``(subject_id, replicate_index)`` shows as two equal
-    neighbours once the rows' ``(code, index rank)`` keys are sorted.
-    """
-    if idx.min() < 1 or not np.isfinite(values).all():
-        return None
-    distinct, rank = np.unique(idx, return_inverse=True)
-    keys = np.sort(codes * distinct.size + rank)
-    if np.any(keys[1:] == keys[:-1]):
+    """``(names, codes, values)``, or None if an index or a value is invalid or a row repeats."""
+    if idx.min() < 1 or not np.isfinite(values).all() or _first_repeat(codes, idx) is not None:
         return None
     return names, codes, values
 
 
-_HEADER = b"subject_id,replicate_index,value\n"
-# Bytes that make csv.reader's rows differ from a plain split on "," and "\n"
-# (a quote, another line end, NUL), or that numpy's parser skips as blanks
-# inside a number where int() and float() reject them (\x1c to \x1f).
-_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_HEADERS = (b"subject_id,replicate_index,value\n", b"subject_id,replicate_index,value\r\n")
+# Bytes that make csv.reader's rows differ from a plain split on "," and
+# line ends (a quote, NUL), or that numpy's parser skips as blanks inside a
+# number where int() and float() reject them (\x1c to \x1f).
+_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Widest parsed id column, a multiple of 8 bytes; an id that fills it may
 # have been cut short.
 _MAX_ID_WIDTH = 64
@@ -521,9 +530,10 @@ _HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
 def _load_study(data: bytes, source: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """:func:`_read_study` of a measurement CSV given as its bytes.
 
-    A plain file is parsed by numpy's C reader (:func:`_plain_columns`).
-    Any other file, and any plain file that fails a check, goes unchanged
-    to :func:`_read_study`, so every error it reports is that reader's.
+    A plain file, with "\\n" or "\\r\\n" line ends, is parsed by numpy's C
+    reader (:func:`_plain_columns`).  Any other file, and any plain file
+    that fails a check, goes unchanged to the one-pass row reader
+    :func:`_read_study`, so every error it reports is that reader's.
     """
     columns = _plain_columns(data)
     if columns is None:
@@ -535,18 +545,20 @@ def _load_study(data: bytes, source: str) -> tuple[list[str], np.ndarray, np.nda
 def _plain_columns(data: bytes):
     """``(names, codes, values)`` of a plain, valid measurement CSV, else None.
 
-    Plain means: UTF-8, the exact header line, no byte of ``_NOT_PLAIN``,
-    and no line longer than ``_MAX_PLAIN_LINE`` or csv's field size limit.
-    Its rows are then a split on "," and "\\n", and ``np.loadtxt`` parses
-    the numbers as ``int`` and ``float`` would, or fails.  The file is
-    valid when ``loadtxt`` parses it without a warning (there is a data
-    row), the ids group without a hash collision (:func:`_id_codes`), no
-    id fills its column, every id is non-empty and equal to its
-    ``strip()``, every subject has 2 rows or more and :func:`_checked`
-    accepts the columns.  None answers the same as :func:`_read_study`
-    would, so the caller can hand the file to it.
+    Plain means: UTF-8, the exact header line ending in "\\n" or "\\r\\n", no
+    byte of ``_NOT_PLAIN``, no "\\r" but before a "\\n", and no line longer
+    than ``_MAX_PLAIN_LINE`` or csv's field size limit.  Its rows are then a
+    split on "," and line ends, and ``np.loadtxt`` parses the numbers as
+    ``int`` and ``float`` would, or fails.  The file is valid when
+    ``loadtxt`` parses it without a warning (there is a data row), the ids
+    group without a hash collision (:func:`_id_codes`), no id fills its
+    column, every id is non-empty and equal to its ``strip()``, every
+    subject has 2 rows or more and :func:`_checked` accepts the columns.
+    None answers the same as :func:`_read_study` would, so the caller can
+    hand the file to it.
     """
-    if not data.startswith(_HEADER) or any(b in data for b in _NOT_PLAIN):
+    if (not data.startswith(_HEADERS) or any(b in data for b in _NOT_PLAIN)
+            or data.count(b"\r") != data.count(b"\r\n")):
         return None
     if not data.isascii():
         try:
@@ -608,51 +620,6 @@ def _id_codes(ids: np.ndarray):
     codes = np.empty(n, np.intp)
     codes[order] = np.repeat(rank, np.diff(starts, append=n))
     return codes, first[by_first]
-
-
-_LINE_BREAK = re.compile(r"\r\n?|\n")
-
-
-def _check_rows(rows: list[list[str]], source: str, first_line: int) -> None:
-    """Raise the error of the first invalid data row, named by its line in the file.
-
-    Makes the checks of :func:`_columns` one row at a time, in file order.
-    The first row starts on ``first_line``; a quoted field that spans lines
-    moves every later row down by its line breaks.
-    """
-    seen = set()
-    next_line = first_line
-    for row in rows:
-        lineno = next_line
-        next_line += 1 + sum(len(_LINE_BREAK.findall(field)) for field in row)
-        if _is_blank(row):
-            continue
-        if len(row) != 3:
-            raise DataValidationError(f"{source}:{lineno}: expected 3 columns, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise DataValidationError(f"{source}:{lineno}: empty subject_id")
-        try:
-            idx = int(row[1])
-        except ValueError:
-            raise DataValidationError(
-                f"{source}:{lineno}: replicate_index {row[1]!r} is not an integer") from None
-        if idx < 1:
-            raise DataValidationError(f"{source}:{lineno}: replicate_index must be >= 1")
-        try:
-            value = float(row[2])
-        except ValueError:
-            raise DataValidationError(
-                f"{source}:{lineno}: value {row[2]!r} is not numeric") from None
-        if not math.isfinite(value):
-            raise DataValidationError(f"{source}:{lineno}: value {row[2]!r} is not finite")
-        if idx > _MAX_REPLICATE_INDEX:
-            raise DataValidationError(
-                f"{source}:{lineno}: replicate_index {row[1]!r} is out of range")
-        if (sid, idx) in seen:
-            raise DataValidationError(
-                f"{source}:{lineno}: duplicate (subject_id, replicate_index) = ({sid}, {idx})")
-        seen.add((sid, idx))
 
 
 def _input_bytes(source: str) -> bytes:

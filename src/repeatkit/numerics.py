@@ -68,7 +68,12 @@ def check_integer(value, name: str, minimum: int = 1) -> int:
     A count must also convert to a float, so it is at most the largest double.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:
+            # past the digit limit of int-to-str conversion: name its size instead
+            got = f"one of {value.bit_length()} bits"
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {got}")
     try:
         float(value)
     except OverflowError:

@@ -547,8 +547,9 @@ class TestEstimate:
         (b"subject_id,replicate_index,value\nA\xff,1,2\nA\xff,2,3\nB,1,1\nB,2,1\n", False),
         (b"subject_id,replicate_index,value\rA,1,2\rA,2,3\rB,1,1\rB,2,1\r", False),
         (FIXTURE_CSV.encode(), True),
+        (FIXTURE_CSV.replace("\n", "\r\n").encode(), True),
         (b'subject_id,replicate_index,value\n"A",1,2\n"A",2,3\nB,1,1\nB,2,1\n', False),
-    ], ids=["not-utf8", "cr-line-ends", "plain", "quoted"])
+    ], ids=["not-utf8", "cr-line-ends", "plain", "crlf-line-ends", "quoted"])
     def test_stdin_reads_like_a_file(self, capsys, tmp_path, content, plain):
         # the interpreter's own stdin, not a stand-in for it; a plain file is
         # parsed by numpy, the others by the row-by-row reader
@@ -785,8 +786,8 @@ _BAD_CELLS = [
 
 @st.composite
 def _study_text(draw):
-    # two files in three are plain: unquoted "\n" rows joined by "," as they
-    # are, mostly of plain ids and with fewer faults
+    # two files in three are plain: unquoted "\n" or "\r\n" rows joined by ","
+    # as they are, mostly of plain ids and with fewer faults
     plain = draw(st.sampled_from([True, True, False]))
     sids = draw(st.lists(st.sampled_from(
         _PLAIN_SIDS if plain and draw(st.sampled_from([True, True, True, False])) else _SIDS),
@@ -816,8 +817,9 @@ def _study_text(draw):
         [["subject_id", "replicate_index", "value"]] * (14 if plain else 6)
         + [[" subject_id", "replicate_index ", "value"], ["id", "replicate_index", "value"]]))
     if plain:
-        text = "".join(",".join(row) + "\n" for row in [header] + rows)
-        return text[:-1] if draw(st.booleans()) else text
+        end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        text = "".join(",".join(row) + end for row in [header] + rows)
+        return text[:-len(end)] if draw(st.booleans()) else text
     buf = io.StringIO()
     # a lone CR inside an id is quoted only under QUOTE_ALL or a CR line end
     writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
@@ -841,6 +843,7 @@ def _reader_examples(test):
         "A,1,2,\nA,2,3,\n",  # a trailing comma
         "A,1,2\n\nA,2,3\n\n\n",  # blank lines
         "A,1,2\n \nA,2,3\n\t\n",  # whitespace-only lines
+        "A,1,2\r\nA,2,3\rB,1,1\r\nB,2,2\r\n",  # a lone CR among CRLF line ends
         "\n\n",  # no data row
         "",
         "A,1,2\nA,2,3\n,1,1\n,2,2\n",  # an empty id, twice
@@ -854,8 +857,15 @@ def _reader_examples(test):
         # past int()'s digit limit, and past csv's field size limit
         "A,1,2\nA," + "0" * 5000 + "2,3\n",
         "A,1,2\nA,2," + "0" * 140_000 + "3\n",
+        # a repeat before a bad value, a bad value before a repeat: the first
+        # in file order is reported; a csv error after a bad row still wins
+        "A,1,2\nA,1,3\nA,2,x\nB,1,1\nB,2,2\n",
+        "A,1,x\nA,2,3\nA,2,4\n",
+        "A,1,x\nA,2," + "0" * 140_000 + "3\n",
     ]:
         test = example(_HEADER + body)(test)
+    for body in ["A,1,2\n\nA,2,3\n\n\n", "A,1,2\n \nA,2,3\n\t\n"]:
+        test = example((_HEADER + body).replace("\n", "\r\n"))(test)
     test = example("\ufeff" + _HEADER + "A,1,2\nA,2,3\n")(test)  # a UTF-8 BOM
     return test
 
@@ -904,13 +914,15 @@ class TestReadStudy:
              [float(v).hex() for v in (2, 3, 4, 5)])
         assert fallbacks == ["s.csv"]
 
-    @pytest.mark.parametrize("header,fragment", [
+    @pytest.mark.parametrize("head,fragment", [
         ("subject_id,replicate_index,value", "s.csv: not UTF-8 text"),
         ("id,replicate_index,value", "header must be"),
+        ("subject_id,replicate_index,value\nA,x,2", "s.csv: not UTF-8 text"),
     ])
-    def test_decodes_in_file_order(self, tmp_path, header, fragment):
-        # the bad byte lies far past the header, in a later decoded chunk
-        data = header.encode() + b"\n" + b"A,1,2\nA,2,3\n" * 20_000 + b"B,1,\xff\n"
+    def test_decodes_in_file_order(self, tmp_path, head, fragment):
+        # the bad byte lies far past the head, in a later decoded chunk; a bad
+        # row in the head does not end the reading
+        data = head.encode() + b"\n" + b"A,1,2\nA,2,3\n" * 20_000 + b"B,1,\xff\n"
         with pytest.raises(DataValidationError, match=fragment):
             cli._read_study(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
                             "s.csv")
@@ -952,7 +964,7 @@ class TestReadStudy:
 
     def test_memory_per_row_fallback(self, tmp_path, fallbacks):
         # one quoted id sends the whole file to the row-by-row reader
-        assert self._peak_bytes_per_row(tmp_path, quoted=True) <= 290
+        assert self._peak_bytes_per_row(tmp_path, quoted=True) <= 200
         assert fallbacks == [str(tmp_path / "registry.csv")]
 
 

@@ -34,7 +34,8 @@ class TestArgumentChecks:
         got = check_integer(value, "nu")
         assert got == 3 and type(got) is int
 
-    @pytest.mark.parametrize("value", [0, 53.0, True, np.bool_(True), "3", None])
+    @pytest.mark.parametrize("value", [0, 53.0, True, np.bool_(True), "3", None,
+                                       pytest.param(-10**5000, id="too-long-to-print")])
     def test_integer_rejects(self, value):
         with pytest.raises(DomainError, match=r"^nu must be an integer >= 1, got "):
             check_integer(value, "nu")
