@@ -513,11 +513,11 @@ def _checked(names, codes, idx, values):
     return names, codes, values
 
 
-_HEADERS = (b"subject_id,replicate_index,value\n", b"subject_id,replicate_index,value\r\n")
-# Bytes that make csv.reader's rows differ from a plain split on "," and
-# line ends (a quote, NUL), or that numpy's parser skips as blanks inside a
-# number where int() and float() reject them (\x1c to \x1f).
-_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_HEADER = b"subject_id,replicate_index,value\n"
+# Bytes that make csv.reader's rows differ from a plain split on "," and "\n"
+# (a quote, another line end, NUL), or that numpy's parser skips as blanks
+# inside a number where int() and float() reject them (\x1c to \x1f).
+_NOT_PLAIN = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Widest parsed id column, a multiple of 8 bytes; an id that fills it may
 # have been cut short.
 _MAX_ID_WIDTH = 64
@@ -530,10 +530,10 @@ _HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
 def _load_study(data: bytes, source: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """:func:`_read_study` of a measurement CSV given as its bytes.
 
-    A plain file, with "\\n" or "\\r\\n" line ends, is parsed by numpy's C
-    reader (:func:`_plain_columns`).  Any other file, and any plain file
-    that fails a check, goes unchanged to the one-pass row reader
-    :func:`_read_study`, so every error it reports is that reader's.
+    A plain file is parsed by numpy's C reader (:func:`_plain_columns`).
+    Any other file, and any plain file that fails a check, goes unchanged
+    to the one-pass row reader :func:`_read_study`, so every error it
+    reports is that reader's.
     """
     columns = _plain_columns(data)
     if columns is None:
@@ -545,20 +545,18 @@ def _load_study(data: bytes, source: str) -> tuple[list[str], np.ndarray, np.nda
 def _plain_columns(data: bytes):
     """``(names, codes, values)`` of a plain, valid measurement CSV, else None.
 
-    Plain means: UTF-8, the exact header line ending in "\\n" or "\\r\\n", no
-    byte of ``_NOT_PLAIN``, no "\\r" but before a "\\n", and no line longer
-    than ``_MAX_PLAIN_LINE`` or csv's field size limit.  Its rows are then a
-    split on "," and line ends, and ``np.loadtxt`` parses the numbers as
-    ``int`` and ``float`` would, or fails.  The file is valid when
-    ``loadtxt`` parses it without a warning (there is a data row), the ids
-    group without a hash collision (:func:`_id_codes`), no id fills its
-    column, every id is non-empty and equal to its ``strip()``, every
-    subject has 2 rows or more and :func:`_checked` accepts the columns.
-    None answers the same as :func:`_read_study` would, so the caller can
-    hand the file to it.
+    Plain means: UTF-8, the exact header line, no byte of ``_NOT_PLAIN``,
+    and no line longer than ``_MAX_PLAIN_LINE`` or csv's field size limit.
+    Its rows are then a split on "," and "\\n", and ``np.loadtxt`` parses
+    the numbers as ``int`` and ``float`` would, or fails.  The file is
+    valid when ``loadtxt`` parses it without a warning (there is a data
+    row), the ids group without a hash collision (:func:`_id_codes`), no
+    id fills its column, every id is non-empty and equal to its
+    ``strip()``, every subject has 2 rows or more and :func:`_checked`
+    accepts the columns.  None answers the same as :func:`_read_study`
+    would, so the caller can hand the file to it.
     """
-    if (not data.startswith(_HEADERS) or any(b in data for b in _NOT_PLAIN)
-            or data.count(b"\r") != data.count(b"\r\n")):
+    if not data.startswith(_HEADER) or any(b in data for b in _NOT_PLAIN):
         return None
     if not data.isascii():
         try:
