@@ -563,12 +563,17 @@ def _plain_columns(data: bytes):
             data.decode()
         except UnicodeDecodeError:
             return None
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    longest = int(np.diff(ends, append=len(data)).max()) - 1
-    if longest > min(_MAX_PLAIN_LINE, csv.field_size_limit()):
+    octets = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(octets == ord("\n"))
+    stops = np.append(ends[1:], len(data))
+    if int((stops - ends).max()) - 1 > min(_MAX_PLAIN_LINE, csv.field_size_limit()):
         return None
-    # a parsed row's id is shorter than its line: only a capped column can cut one
-    width = min(-(-longest // 8) * 8, _MAX_ID_WIDTH)
+    # the longest first field of a data line: up to its first comma, or the whole line
+    commas = np.append(np.flatnonzero(octets == ord(",")), len(data))
+    longest = int((np.minimum(commas[np.searchsorted(commas, ends)], stops) - ends).max()) - 1
+    # the column is wider than every id: only a capped column can cut one
+    width = min((longest // 8 + 1) * 8, _MAX_ID_WIDTH)
+    del octets, ends, stops, commas  # a file's worth of indices, freed before it is parsed
     try:
         with _warnings.catch_warnings():
             # an empty body warns; no warning of this path reaches the report

@@ -16,7 +16,8 @@ CDF and quantile of ``W`` live here, computed from ``scipy.special``
 directly, and every confidence statement and worst-case bound downstream
 is one call into them.  So is the search behind every exact sample size:
 the smallest design whose confidence ``P[W >= w]`` or ``P[W <= w]``
-reaches a level, for one design or a whole grid at once.
+reaches a level, bracketed over :func:`ratio_cdf` for one design, or
+settled for a whole grid at once by a window of consecutive ``n`` per cell.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln, ndtri
+from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln
 
 from .errors import DataValidationError, DomainError, InfeasibleError
 from .numerics import (
@@ -85,18 +86,6 @@ def _normal_quantile_above(p: float) -> float:
     """``normal_quantile(1 - p)``, or ``-normal_quantile(p)`` where ``1 - p`` rounds to 1."""
     q = 1.0 - p
     return normal_quantile(q) if q < 1.0 else -normal_quantile(p)
-
-
-def _coverage_quantiles(p_sp: np.ndarray) -> np.ndarray:
-    """:func:`symmetric_coverage_quantile` of checked probabilities, float for float."""
-    tail = (1.0 - p_sp) / 2.0
-    return np.where(1.0 - tail == 0.5, _SQRT2 * erfinv(p_sp), _normal_quantiles_above(tail))
-
-
-def _normal_quantiles_above(p: np.ndarray) -> np.ndarray:
-    """:func:`_normal_quantile_above` of checked probabilities, float for float."""
-    q = 1.0 - p
-    return np.where(q < 1.0, ndtri(q), -ndtri(p))
 
 
 def design_degrees_of_freedom(n_subjects: int, replicates: int) -> int:
@@ -411,12 +400,11 @@ def _ratio_quantile_above(p: float, nu: int,
 # smallest design with a confidence statement on W
 # ---------------------------------------------------------------------------
 
-# Consecutive subject counts evaluated around each asymptotic hint, from
-# _BELOW[upper] under it.  The exact n mostly lies at or a little above the
-# hint for P[W >= w] (specificity) and at or a little below it for
-# P[W <= w] (sensitivity).
+# Consecutive subject counts evaluated around each asymptotic hint of a grid,
+# from _BELOW under it; the exact n of P[W >= w] mostly lies at or a little
+# above the hint.
 _WINDOW = 7
-_BELOW = {True: 2, False: 5}
+_BELOW = 2
 _LAST_START = MAX_SUBJECTS - _WINDOW + 1
 _STEPS = np.arange(_WINDOW)
 # A window's predicate values read as the bits of an integer (bit j for
@@ -426,75 +414,54 @@ _BITS = 1 << _STEPS
 _EDGE = np.full(1 << _WINDOW, -1)
 _EDGE[(1 << _WINDOW) - _BITS] = _STEPS
 
-# normal_cdf one value at a time: it calls math.erfc, and scipy's erfc
-# differs from that in the last bit for about a quarter of arguments
-_normal_cdf_each = np.vectorize(normal_cdf, otypes=[float])
 
+def _min_subjects(w, dof, p_conf, raw) -> np.ndarray:
+    """Smallest ``n`` per cell with ``P[W >= w] >= p_conf``; 0 where none up to ``MAX_SUBJECTS``.
 
-def _confidence_holds(n, w, dof, p_conf, upper: bool, method: MethodChoice):
-    # P[W >= w] (upper) or P[W <= w] at nu = n * dof reaches p_conf, with
-    # the operations of ratio_cdf in its order, so the floats are its own
-    nu = n * dof
-    if method is MethodChoice.EXACT:
-        cdf = gammainc(0.5 * nu, 0.5 * (nu * w * w))
-    else:
-        cdf = _normal_cdf_each((w - 1.0) * np.sqrt(2.0 * nu))
-    return (1.0 - cdf if upper else cdf) >= p_conf
-
-
-def _min_subjects(w, dof, p_conf, raw, upper: bool,
-                  method: MethodChoice = MethodChoice.EXACT) -> np.ndarray:
-    """Smallest ``n`` per cell whose confidence reaches ``p_conf``; 0 where none does.
-
-    The confidence is ``P[W >= w]`` if ``upper``, else ``P[W <= w]``, at
-    ``nu = n * dof`` degrees of freedom, as :func:`ratio_cdf` computes it.
-    All arguments are checked 1-d arrays of one length (``dof`` is
-    ``m - 1`` as a float).  Each cell evaluates ``_WINDOW`` consecutive
-    ``n`` next to its hint ``ceil(raw)`` (clipped to ``[1, MAX_SUBJECTS]``),
-    all cells in one ``gammainc`` call.  A window that is false and then
-    true, or true from ``n = 1``, settles its cell.  Every other cell goes
-    to :func:`min_integer_satisfying` from the same hint with the same
-    predicate; a cell still false at ``MAX_SUBJECTS`` gets 0.
+    The batch form of :func:`_search` for the exact method, behind the
+    ``tables`` grid.  ``W``'s law has ``nu = n * dof`` degrees of freedom
+    and ``P[W >= w]`` is ``1 - gammainc`` with the operations of
+    :func:`ratio_cdf` in its order, so the floats are its own.  All
+    arguments are checked 1-d arrays of one length; ``dof`` holds the
+    integers ``m - 1``.  Each cell evaluates ``_WINDOW`` consecutive ``n``
+    next to its hint ``ceil(raw)`` (clipped to ``[1, MAX_SUBJECTS]``), all
+    cells in one ``gammainc`` call.  A window that is false and then true,
+    or true from ``n = 1``, settles its cell.  Every other cell goes to
+    :func:`_search` from the same hint.
     """
     # ceil(raw) - below, clipped; raw - below is exact from raw = below to 2**53,
     # and outside that range both forms clip alike
-    start = np.minimum(np.maximum(np.ceil(raw - _BELOW[upper]), 1.0), _LAST_START)
-    # nu * w^2 overflows to inf for large caps u, where P[W <= u] is 1
+    start = np.minimum(np.maximum(np.ceil(raw - _BELOW), 1.0), _LAST_START)
+    # nu overflows to inf where m - 1 is near the largest double; nu * w * w
+    # cannot, as the grid's ratio w is below 1
     with np.errstate(over="ignore"):
-        holds = _confidence_holds(start[:, None] + _STEPS, w[:, None], dof[:, None],
-                                  p_conf[:, None], upper, method)
+        nu = (start[:, None] + _STEPS) * dof.astype(float)[:, None]
+    holds = 1.0 - gammainc(0.5 * nu, 0.5 * (nu * w[:, None] * w[:, None])) >= p_conf[:, None]
     edge = _EDGE[holds @ _BITS]
     sizes = (start + edge).astype(np.int64)
     # an all-true window settles its cell only where it starts at n = 1
     for i in np.flatnonzero(edge < (start > 1.0)):
-        sizes[i] = _search(w[i], dof[i], p_conf[i], raw[i], upper, method)
+        sizes[i] = _search(w[i], int(dof[i]), p_conf[i], raw[i], upper=True)
     return sizes
 
 
-def _min_subject(w: float, dof: float, p_conf: float, raw: float, upper: bool,
-                 method: MethodChoice = MethodChoice.EXACT) -> int:
-    """:func:`_min_subjects` for one cell, its bookkeeping on Python numbers.
+def _search(w: float, dof: int, p_conf: float, raw: float, upper: bool,
+            method: MethodChoice = MethodChoice.EXACT) -> int:
+    """Smallest ``n`` whose confidence reaches ``p_conf``; 0 where none up to ``MAX_SUBJECTS``.
 
-    A one-design call runs the same window, edge rule and fallback; only
-    the window's start and the settling test skip numpy, whose per-call
-    cost would otherwise double the search.
+    The confidence is ``P[W >= w]`` if ``upper``, else ``P[W <= w]``, by
+    :func:`ratio_cdf` itself at ``nu = n * dof`` for the integer
+    ``dof = m - 1``.  :func:`min_integer_satisfying` brackets it from the
+    hint ``ceil(raw)`` (clipped to ``[1, MAX_SUBJECTS]``); every exact
+    one-design sample size is this search.
     """
-    start = min(max(math.ceil(min(raw, MAX_SUBJECTS) - _BELOW[upper]), 1), _LAST_START)
-    with np.errstate(over="ignore"):
-        holds = _confidence_holds(start + _STEPS, w, dof, p_conf, upper, method)
-    edge = int(_EDGE[holds @ _BITS])
-    if edge >= (start > 1):
-        return start + edge
-    return _search(w, dof, p_conf, raw, upper, method)
-
-
-def _search(w, dof, p_conf, raw, upper: bool, method: MethodChoice) -> int:
-    # min_integer_satisfying from the hint ceil(raw), on one cell's
-    # predicate; 0 where it is still false at MAX_SUBJECTS
     hint = math.ceil(min(max(raw, 1.0), MAX_SUBJECTS))
+
+    def holds(n):
+        cdf = ratio_cdf(w, n * dof, method)
+        return (1.0 - cdf if upper else cdf) >= p_conf
+
     try:
-        with np.errstate(over="ignore"):
-            return min_integer_satisfying(
-                lambda n: _confidence_holds(n, w, dof, p_conf, upper, method), hint)
+        return min_integer_satisfying(holds, hint)
     except InfeasibleError:
         return 0

@@ -8,9 +8,10 @@ which is :func:`check_real` plus the open interval (0, 1)), the standard
 normal CDF/quantile pair, and the monotone integer search.  The normal
 pair delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is
 defined at ±inf and rejects NaN.  Both also accept numpy arrays, which the
-simulation transforms in bulk.  The law of W, and the window search over it
+simulation transforms in bulk.  The law of W, and the searches over it
 behind every exact sample size, live in :mod:`repeatkit.core`; the integer
-search here settles the cells that a window leaves open.
+search here is each one-design search, and settles the grid cells that a
+window leaves open.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
-    _min_subject,
     _normal_quantile_above,
+    _search,
     ratio_cdf,
     ratio_quantile,
     symmetric_coverage_quantile,
@@ -310,9 +310,8 @@ def sample_size_sensitivity(
     asymptotic closed form (one-sided, returns ``raw``), or an integer
     search over :func:`ratio_cdf` at the cap ``u`` of
     :func:`sensitivity_confidence`, found once before the search.  The
-    search is the one-cell case of the window search behind
-    :func:`~repeatkit.specificity.sample_size_specificity_grid`, here on
-    ``P[W <= u]`` and with either method.
+    search brackets the smallest ``n`` with ``P[W <= u] >= p_conf`` from
+    the asymptotic hint, under either method.
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -338,8 +337,7 @@ def sample_size_sensitivity(
             approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    n = _min_subject(u, m - 1.0, p_conf, raw if denom > 0.0 else 1.0, upper=False,
-                     method=method)
+    n = _search(u, m - 1, p_conf, raw if denom > 0.0 else 1.0, upper=False, method=method)
     if n == 0:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "

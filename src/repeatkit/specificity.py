@@ -16,10 +16,10 @@ uses the chi-square law of ``nu * W**2`` and holds at any ``nu``;
 
 Exact sample sizes come for one design (:func:`sample_size_specificity`)
 or for a whole grid of designs (:func:`sample_size_specificity_grid`, which
-the ``tables`` command prints).  The grid checks its values once and derives
-every cell's quantiles, asymptotic hint and ratio as arrays, float for float
-as the one-design function derives them; both then run the window search of
-:mod:`repeatkit.core`.
+the ``tables`` command prints).  One design brackets its ``n`` from the
+asymptotic hint over the chi-square tail.  The grid checks its values once,
+takes each value's quantile from the scalar kernels, and solves all its
+cells in one batched window search of :mod:`repeatkit.core`.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
-    _coverage_quantiles,
-    _min_subject,
     _min_subjects,
     _normal_quantile_above,
-    _normal_quantiles_above,
     _ratio_log_density,
     _ratio_quantile_above,
+    _search,
     ratio_cdf,
     symmetric_coverage_quantile,
 )
@@ -211,9 +209,8 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     the effective specificity stays at or above ``p_esp_lb`` with
     probability at least ``p_conf``.  The asymptotic method returns the
     closed-form real solution (also in ``raw``) rounded up; the exact method
-    searches the chi-square tail at the fixed ratio ``z_lb / z`` for the
-    smallest qualifying integer, seeded by the asymptotic value: the window
-    search of :func:`sample_size_specificity_grid`, run on one cell.  A
+    brackets the smallest qualifying integer from the asymptotic value over
+    the chi-square tail at the fixed ratio ``z_lb / z``.  A
     floor whose coverage quantile ``z_lb`` is not below the target's ``z``
     (adjacent doubles can share one) is infeasible like a floor at or above
     the target.
@@ -238,7 +235,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     if method is MethodChoice.ASYMPTOTIC:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    n = _min_subject(z_lb / z, m - 1.0, p_conf, raw, upper=True)
+    n = _search(z_lb / z, m - 1, p_conf, raw, upper=True)
     if n == 0:
         raise _not_reached(p_sp, p_esp_lb, p_conf)
     return SampleSizeResult(n=n, raw=None)
@@ -261,7 +258,8 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
     that no ``n`` up to ``MAX_SUBJECTS`` satisfies.  Warns, like the scalar
     function, for each ``p_conf <= 0.5`` in order.
     """
-    m = np.array([check_integer(v, "replicates per subject m", 2) for v in m], dtype=float)
+    # Python ints, so that m - 1 is exact at any count
+    m = np.array([check_integer(v, "replicates per subject m", 2) for v in m], dtype=object)
     p_sp = _probabilities(p_sp, "p_sp")
     p_esp_lb = _probabilities(p_esp_lb, "p_esp_lb")
     p_conf = _probabilities(p_conf, "p_conf")
@@ -274,9 +272,9 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
         if conf <= 0.5:
             _warn_low_confidence(conf)
 
-    # sample_size_specificity's derivation, float for float, on every cell
-    z = _coverage_quantiles(p_sp)[si]
-    z_lb = _coverage_quantiles(p_esp_lb)[li]
+    # sample_size_specificity's quantiles, once per listed value
+    z = np.array([symmetric_coverage_quantile(p) for p in p_sp.tolist()])[si]
+    z_lb = np.array([symmetric_coverage_quantile(p) for p in p_esp_lb.tolist()])[li]
     shared = np.flatnonzero(z_lb >= z)
     if shared.size:
         i = shared[0]
@@ -284,10 +282,11 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
                              float(z[i]), float(z_lb[i]))
     # numpy squares exactly, where Python's ** calls libm's pow and can round
     # the other way; the hint then moves by one only where raw is within an
-    # ulp of an integer, and two windows that hold the edge agree on it
-    dof = m[mi] - 1.0
-    raw = (_normal_quantiles_above(p_conf)[ci] * z / (z_lb - z)) ** 2 / (2.0 * dof)
-    n = _min_subjects(z_lb / z, dof, p_conf[ci], raw, upper=True)
+    # ulp of an integer, and the n found does not depend on the hint
+    dof = m[mi] - 1
+    q = np.array([_normal_quantile_above(p) for p in p_conf.tolist()])[ci]
+    raw = (q * z / (z_lb - z)) ** 2 / (2.0 * dof.astype(float))
+    n = _min_subjects(z_lb / z, dof, p_conf[ci], raw)
     missing = np.flatnonzero(n == 0)
     if missing.size:
         i = missing[0]

@@ -909,6 +909,43 @@ class TestReadStudy:
              [float(v).hex() for v in (2, 3, 4, 5)])
         assert fallbacks == ["s.csv"]
 
+    @pytest.fixture
+    def id_widths(self, monkeypatch):
+        """The id column width of each ``np.loadtxt`` call, in order."""
+        widths = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, dtype, **kwargs):
+            widths.append(dtype[0][1])
+            return loadtxt(*args, dtype=dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return widths
+
+    @pytest.mark.parametrize("layout", ["rows", "blank lines", "no final newline"])
+    @pytest.mark.parametrize("size,width", [(7, 8), (8, 16), (9, 16), (63, 64), (64, 64),
+                                            (65, 64)])
+    def test_id_column_is_sized_from_the_ids(self, fallbacks, id_widths, layout, size, width):
+        # a multiple of 8 above the longest id, capped; a blank line counts as
+        # an empty id, and only an id that fills the capped column falls back
+        sid = "S" * size
+        rows = [f"{sid},1,2", "B,1,3", f"{sid},2,4", "B,2,5"]
+        text = _HEADER + "".join(("\n" if layout == "blank lines" else "") + row + "\n"
+                                 for row in rows)
+        if layout == "no final newline":
+            text = text[:-1]
+        assert _outcome(cli._load_study, text.encode(), "s.csv") == \
+            _outcome(_reference_read_study, text, "s.csv")
+        assert id_widths == [f"S{width}"]
+        assert fallbacks == ([] if size < cli._MAX_ID_WIDTH else ["s.csv"])
+
+    def test_line_without_a_comma_is_one_long_id(self, fallbacks, id_widths):
+        text = _HEADER + "A,1,2\nA,2,3\n" + "N" * 12 + "\n"
+        assert _outcome(cli._load_study, text.encode(), "s.csv") == \
+            _outcome(_reference_read_study, text, "s.csv") == "s.csv:4: expected 3 columns, got 1"
+        assert id_widths == ["S16"]
+        assert fallbacks == ["s.csv"]
+
     @pytest.mark.parametrize("head,fragment", [
         ("subject_id,replicate_index,value", "s.csv: not UTF-8 text"),
         ("id,replicate_index,value", "header must be"),

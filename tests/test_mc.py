@@ -24,12 +24,16 @@ from repeatkit.sensitivity import (
     SensitivityApproximation,
     effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
+    sample_size_sensitivity,
+    sensitivity_confidence,
     sensitivity_lower_bound,
 )
 from repeatkit.specificity import (
     MethodChoice,
     effective_specificity_given_ratio,
     expected_effective_specificity,
+    sample_size_specificity,
+    specificity_confidence,
     specificity_lower_bound,
 )
 
@@ -405,3 +409,73 @@ class TestLongitudinalDecisions:
         monkeypatch.setenv("REPEATKIT_THREADS", "4")
         second = decisions(cfg)
         assert first == second
+
+
+ONE_SIDED = SensitivityApproximation.ONE_SIDED_EXCEEDANCE
+TWO_SIDED = SensitivityApproximation.FULL_TWO_SIDED
+# (m, p_sp, p_esp_lb, p_conf) of samplesize-spec, and (m, delta, p_sp,
+# p_ese_lb, p_conf, approximation) of samplesize-sens; every exact n is at
+# most 300
+_SPECIFICITY_DESIGNS = [(2, 0.95, 0.90, 0.95), (3, 0.95, 0.90, 0.95), (2, 0.99, 0.97, 0.90),
+                        (4, 0.90, 0.80, 0.80), (2, 0.95, 0.92, 0.90)]
+_SENSITIVITY_DESIGNS = [(2, 4.0, 0.95, 0.75, 0.95, ONE_SIDED),
+                        (2, 4.0, 0.95, 0.75, 0.95, TWO_SIDED),
+                        (3, 4.0, 0.95, 0.75, 0.95, ONE_SIDED),
+                        (2, 2.0, 0.80, 0.50, 0.90, ONE_SIDED),
+                        (2, 2.0, 0.80, 0.50, 0.90, TWO_SIDED),
+                        (2, 1.5, 0.70, 0.45, 0.85, TWO_SIDED)]
+_SAMPLE_SIZE_REPLICATES = 20_000
+
+
+class TestSampleSizesAgainstMonteCarlo:
+    """The exact n of each design, and n - 1, simulated: the independent oracle of the search.
+
+    At each simulated n the empirical confidence is the fraction of studies
+    whose effective specificity or sensitivity reaches the floor.  It must
+    lie within 3 Monte Carlo standard errors of the analytic confidence, and
+    at n not more than 3 below ``p_conf``; the analytic confidence at n - 1
+    must miss ``p_conf``.  The coverage at the asymptotic n is printed, not
+    checked.  Seeds, replicate count and bands were fixed before the first run.
+    """
+
+    @staticmethod
+    def _check(design, n, n_asymptotic, m, conf, analytic, reaches):
+        # seed 1000 k + design for the exact n (k = 0), n - 1 (k = 1) and the
+        # asymptotic n (k = 2)
+        empirical = {}
+        for k, size in enumerate((n, n - 1, n_asymptotic)):
+            if size not in empirical:
+                cfg = SimulationConfig(n=size, m=m, replicates=_SAMPLE_SIZE_REPLICATES,
+                                       seed=1000 * k + design)
+                empirical[size] = float(np.mean(reaches(ratios(cfg))))
+        for size in (n, n - 1):
+            want = analytic(size * (m - 1))
+            se = math.sqrt(want * (1.0 - want) / _SAMPLE_SIZE_REPLICATES)
+            assert abs(empirical[size] - want) <= 3.0 * se, (design, size, empirical[size], want)
+            if size == n:
+                assert empirical[n] >= conf - 3.0 * se, (design, empirical[n], conf)
+            else:
+                assert want < conf, (design, size, want)
+        print(f"design {design}: exact n {n}, asymptotic n {n_asymptotic}, coverage there "
+              f"{empirical[n_asymptotic]:.4f} (analytic {analytic(n_asymptotic * (m - 1)):.4f}, "
+              f"p_conf {conf})")
+
+    @pytest.mark.parametrize("design", range(len(_SPECIFICITY_DESIGNS)))
+    def test_specificity(self, design):
+        m, p_sp, lb, conf = _SPECIFICITY_DESIGNS[design]
+        self._check(design, sample_size_specificity(m, p_sp, lb, conf).n,
+                    sample_size_specificity(m, p_sp, lb, conf, MethodChoice.ASYMPTOTIC).n,
+                    m, conf, lambda nu: specificity_confidence(nu, p_sp, lb),
+                    lambda w: effective_specificity_given_ratio(w, p_sp) >= lb)
+
+    @pytest.mark.parametrize("design", range(len(_SENSITIVITY_DESIGNS)))
+    def test_sensitivity(self, design):
+        m, delta, p_sp, lb, conf, approximation = _SENSITIVITY_DESIGNS[design]
+        n = sample_size_sensitivity(m, delta, p_sp, lb, conf, MethodChoice.EXACT, approximation).n
+        n_asymptotic = sample_size_sensitivity(m, delta, p_sp, lb, conf,
+                                               MethodChoice.ASYMPTOTIC, ONE_SIDED).n
+        self._check(len(_SPECIFICITY_DESIGNS) + design, n, n_asymptotic, m, conf,
+                    lambda nu: sensitivity_confidence(nu, delta, p_sp, lb,
+                                                      MethodChoice.EXACT, approximation),
+                    lambda w: effective_sensitivity_given_ratio(w, delta, p_sp,
+                                                                approximation) >= lb)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
+from repeatkit import core
 from repeatkit.core import _normal_quantile_above, ratio_cdf
 from repeatkit.errors import DomainError, InfeasibleError
 from repeatkit.numerics import min_integer_satisfying, normal_quantile
@@ -415,6 +416,16 @@ def _scalar_search(m, delta, p_sp, lb, conf, method, approximation):
                                       start_hint=max(1, math.ceil(raw)) if raw else 1)
     except InfeasibleError:
         return "infeasible"
+
+
+@pytest.mark.parametrize("method", list(MethodChoice))
+def test_any_hint_gives_the_same_n(method):
+    # the lower-tail search from hints far from the answer, on either side
+    # and at both ends of the range
+    want = _scalar_search(2, 4.0, 0.95, 0.75, 0.95, method, ONE_SIDED)
+    u, _, _ = sensitivity_module._ratio_cap(EffectSize(4.0), 0.95, 0.75, ONE_SIDED)
+    hints = [1.0, 20.0, want, 1e5, 1e9, math.inf]
+    assert [core._search(u, 1, 0.95, r, upper=False, method=method) for r in hints] == [want] * 6
 
 
 @pytest.mark.parametrize("method,approximation", [

@@ -407,10 +407,9 @@ class TestSampleSizeGrid:
         # range, all fall back and find it
         z, z_lb = symmetric_coverage_quantile(0.95), symmetric_coverage_quantile(0.90)
         raw = np.array([1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
-        n = core._min_subjects(np.full(6, z_lb / z), np.ones(6), np.full(6, 0.95), raw,
-                               upper=True)
+        n = core._min_subjects(np.full(6, z_lb / z), np.ones(6), np.full(6, 0.95), raw)
         assert n.tolist() == [54] * 6
-        assert [core._min_subject(z_lb / z, 1.0, 0.95, r, upper=True) for r in raw] == [54] * 6
+        assert [core._search(z_lb / z, 1, 0.95, r, upper=True) for r in raw] == [54] * 6
 
     def test_infeasible_at_max_subjects(self):
         assert _scalar_search(2, 0.95, 0.9499999, 0.99) == "infeasible"
