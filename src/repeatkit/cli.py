@@ -89,7 +89,8 @@ def _fmt(x) -> str:
     if x is True or x is False:
         return "true" if x else "false"
     if isinstance(x, float):
-        return f"{_round10(x):.10g}"
+        # the digits of _round10(x), which :meth:`ReportEnvelope.to_payload` writes
+        return f"{x:.10g}"
     return str(x)
 
 
@@ -663,38 +664,6 @@ def cmd_estimate(args) -> ReportEnvelope:
 # file emitters
 # ---------------------------------------------------------------------------
 
-def _table_grid(conf_values, lb_values, sizes):
-    # one row per (conf, lb); a cell is None where the floor is not below the target
-    return [(conf, lb, [int(n) or None for n in cells])
-            for conf, by_lb in zip(conf_values, sizes)
-            for lb, cells in zip(lb_values, by_lb)]
-
-
-def _write_table_csv(path, m, psp_values, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "p_conf", "p_esp_lb"]
-                        + [f"psp_{psp:.3f}" for psp in psp_values])
-        for conf, lb, cells in rows:
-            writer.writerow([m, f"{conf:.3f}", f"{lb:.3f}"]
-                            + ["" if c is None else str(c) for c in cells])
-
-
-def _write_table_markdown(path, m, psp_values, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# Exact sample sizes, m = {m}\n\n")
-        fh.write("Subjects needed so the effective specificity stays above the floor\n"
-                 "(row) with the row's confidence, per target specificity (column).\n"
-                 "Blank cells are infeasible (floor at or above target).\n\n")
-        header = ["p_conf", "p_esp_lb"] + [f"{psp:.3f}" for psp in psp_values]
-        fh.write("| " + " | ".join(header) + " |\n")
-        fh.write("|" + "---|" * len(header) + "\n")
-        for conf, lb, cells in rows:
-            cols = [f"{conf:.3f}", f"{lb:.3f}"] + \
-                ["" if c is None else str(c) for c in cells]
-            fh.write("| " + " | ".join(cols) + " |\n")
-
-
 def cmd_tables(args) -> ReportEnvelope:
     # every value is checked and every grid solved before anything is written
     sizes = sample_size_specificity_grid(args.m_list, args.psp_list, args.esp_lb_list,
@@ -707,16 +676,30 @@ def cmd_tables(args) -> ReportEnvelope:
                 "esp_lb_list": list(args.esp_lb_list),
                 "psp_list": list(args.psp_list)},
         method=("exact",))
+    # one CSV and one markdown table per m, each written at once; the row
+    # labels and headers are formatted once, and a floor at or above the
+    # target leaves its cell blank
+    labels = [[f"{conf:.3f}", f"{lb:.3f}"] for conf in args.conf_list for lb in args.esp_lb_list]
+    psp = [f"{v:.3f}" for v in args.psp_list]
+    csv_header = ",".join(["m", "p_conf", "p_esp_lb"] + [f"psp_{v}" for v in psp]) + "\n"
+    md_header = ("Subjects needed so the effective specificity stays above the floor\n"
+                 "(row) with the row's confidence, per target specificity (column).\n"
+                 "Blank cells are infeasible (floor at or above target).\n\n"
+                 "| " + " | ".join(["p_conf", "p_esp_lb"] + psp) + " |\n"
+                 "|" + "---|" * (len(psp) + 2) + "\n")
     written = []
     for m, grid in zip(args.m_list, sizes):
-        rows = _table_grid(args.conf_list, args.esp_lb_list, grid)
+        rows = [label + [str(n) if n else "" for n in cells]
+                for label, cells in zip(labels, grid.reshape(len(labels), len(psp)).tolist())]
         csv_path = os.path.join(args.out, f"samplesize_spec_m{m}.csv")
         md_path = os.path.join(args.out, f"samplesize_spec_m{m}.md")
-        _write_table_csv(csv_path, m, args.psp_list, rows)
-        _write_table_markdown(md_path, m, args.psp_list, rows)
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(csv_header + "".join(f"{m}," + ",".join(row) + "\n" for row in rows))
+        with open(md_path, "w", encoding="utf-8") as fh:
+            fh.write(f"# Exact sample sizes, m = {m}\n\n" + md_header
+                     + "".join("| " + " | ".join(row) + " |\n" for row in rows))
         written.extend([csv_path, md_path])
-        populated = sum(1 for _, _, cells in rows for c in cells if c is not None)
-        env.add(f"populated_cells[m={m}]", populated, "exact", "count")
+        env.add(f"populated_cells[m={m}]", int(np.count_nonzero(grid)), "exact", "count")
     for path in written:
         env.add("file", path, "exact", "path")
     return env

@@ -17,7 +17,7 @@ directly, and every confidence statement and worst-case bound downstream
 is one call into them.  So is the search behind every exact sample size:
 the smallest design whose confidence ``P[W >= w]`` or ``P[W <= w]``
 reaches a level, bracketed over :func:`ratio_cdf` for one design, or
-settled for a whole grid at once by a window of consecutive ``n`` per cell.
+settled for a whole grid at once by a window of consecutive ``nu`` per cell.
 """
 
 from __future__ import annotations
@@ -352,13 +352,16 @@ def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> f
     """``P[W <= w]`` at ``w > 0`` for ``nu`` degrees of freedom.
 
     The chi-square CDF at ``x = nu w^2`` exactly, the regularized lower
-    incomplete gamma function ``P(nu/2, x/2)`` (1 where ``x`` overflows), or
+    incomplete gamma function ``P(nu/2, x/2)`` (1 where ``x`` overflows, and
+    0 or 1 for ``w`` below or above 1 where it is NaN), or
     ``Phi((w - 1) sqrt(2 nu))`` asymptotically.
     """
     nu = check_integer(nu, "nu")
     w = _check_ratio(w)
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
-        return float(gammainc(0.5 * nu, 0.5 * (nu * w * w)))
+        p = float(gammainc(0.5 * nu, 0.5 * (nu * w * w)))
+        # NaN for nu of about 1e306 or more, where W is 1 to within any double
+        return float(w > 1.0) if math.isnan(p) else p
     return normal_cdf((w - 1.0) * math.sqrt(2.0 * nu))
 
 
@@ -400,68 +403,70 @@ def _ratio_quantile_above(p: float, nu: int,
 # smallest design with a confidence statement on W
 # ---------------------------------------------------------------------------
 
-# Consecutive subject counts evaluated around each asymptotic hint of a grid,
-# from _BELOW under it; the exact n of P[W >= w] mostly lies at or a little
-# above the hint.
-_WINDOW = 7
+# Consecutive degrees of freedom evaluated around each asymptotic hint of a
+# grid, from _BELOW under it.  The exact nu of P[W >= w] lies from 1 under
+# the hint to 6 over it in 98.8 % of plan-shaped cells (97.7 % to 4 over,
+# 99.2 % to 9 over); a wider window costs more than the searches it saves.
+_WINDOW = 9
 _BELOW = 2
-_LAST_START = MAX_SUBJECTS - _WINDOW + 1
 _STEPS = np.arange(_WINDOW)
 # A window's predicate values read as the bits of an integer (bit j for
-# n = start + j) index its edge: the j of the first true value where the
+# nu = start + j) index its edge: the j of the first true value where the
 # window is false and then true, 0 where it is all true, -1 otherwise.
 _BITS = 1 << _STEPS
 _EDGE = np.full(1 << _WINDOW, -1)
 _EDGE[(1 << _WINDOW) - _BITS] = _STEPS
 
 
-def _min_subjects(w, dof, p_conf, raw) -> np.ndarray:
-    """Smallest ``n`` per cell with ``P[W >= w] >= p_conf``; 0 where none up to ``MAX_SUBJECTS``.
+def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
+    """Smallest ``nu`` per cell with ``P[W >= w] >= p_conf``; 0 where none up to ``limit``.
 
-    The batch form of :func:`_search` for the exact method, behind the
-    ``tables`` grid.  ``W``'s law has ``nu = n * dof`` degrees of freedom
-    and ``P[W >= w]`` is ``1 - gammainc`` with the operations of
+    The batch form of :func:`_search` for the exact method at ``dof = 1``,
+    behind the ``tables`` grid, which takes ``n = ceil(nu / (m - 1))`` for
+    each ``m``.  ``P[W >= w]`` is ``1 - gammainc`` with the operations of
     :func:`ratio_cdf` in its order, so the floats are its own.  All
-    arguments are checked 1-d arrays of one length; ``dof`` holds the
-    integers ``m - 1``.  Each cell evaluates ``_WINDOW`` consecutive ``n``
-    next to its hint ``ceil(raw)`` (clipped to ``[1, MAX_SUBJECTS]``), all
-    cells in one ``gammainc`` call.  A window that is false and then true,
-    or true from ``n = 1``, settles its cell.  Every other cell goes to
-    :func:`_search` from the same hint.
+    arguments but ``limit`` are checked 1-d arrays of one length.  Each cell
+    evaluates ``_WINDOW`` consecutive ``nu`` next to its hint ``ceil(raw)``
+    (clipped to ``[1, limit]``), all cells in one ``gammainc`` call.  A
+    window that is false and then true, or true from ``nu = 1``, settles its
+    cell.  Every other cell goes to :func:`_search` from the same hint.  The
+    result is int64, or Python ints where ``limit`` passes int64's range.
     """
-    # ceil(raw) - below, clipped; raw - below is exact from raw = below to 2**53,
-    # and outside that range both forms clip alike
-    start = np.minimum(np.maximum(np.ceil(raw - _BELOW), 1.0), _LAST_START)
-    # nu overflows to inf where m - 1 is near the largest double; nu * w * w
-    # cannot, as the grid's ratio w is below 1
-    with np.errstate(over="ignore"):
-        nu = (start[:, None] + _STEPS) * dof.astype(float)[:, None]
+    # ceil(raw) - below, clipped so that a window ends by limit and by 2**53,
+    # below which every integer nu is its own double; raw - below is exact
+    # from raw = below to 2**53, and outside that range both forms clip alike
+    last = min(limit, 2**53) - _WINDOW + 1
+    start = np.minimum(np.maximum(np.ceil(raw - _BELOW), 1.0), last)
+    nu = start[:, None] + _STEPS
     holds = 1.0 - gammainc(0.5 * nu, 0.5 * (nu * w[:, None] * w[:, None])) >= p_conf[:, None]
     edge = _EDGE[holds @ _BITS]
     sizes = (start + edge).astype(np.int64)
-    # an all-true window settles its cell only where it starts at n = 1
+    if limit > np.iinfo(np.int64).max:
+        sizes = sizes.astype(object)
+    # an all-true window settles its cell only where it starts at nu = 1
     for i in np.flatnonzero(edge < (start > 1.0)):
-        sizes[i] = _search(w[i], int(dof[i]), p_conf[i], raw[i], upper=True)
+        sizes[i] = _search(w[i], 1, p_conf[i], raw[i], upper=True, limit=limit)
     return sizes
 
 
 def _search(w: float, dof: int, p_conf: float, raw: float, upper: bool,
-            method: MethodChoice = MethodChoice.EXACT) -> int:
-    """Smallest ``n`` whose confidence reaches ``p_conf``; 0 where none up to ``MAX_SUBJECTS``.
+            method: MethodChoice = MethodChoice.EXACT, limit: int = MAX_SUBJECTS) -> int:
+    """Smallest ``n`` whose confidence reaches ``p_conf``; 0 where none up to ``limit``.
 
     The confidence is ``P[W >= w]`` if ``upper``, else ``P[W <= w]``, by
     :func:`ratio_cdf` itself at ``nu = n * dof`` for the integer
-    ``dof = m - 1``.  :func:`min_integer_satisfying` brackets it from the
-    hint ``ceil(raw)`` (clipped to ``[1, MAX_SUBJECTS]``); every exact
-    one-design sample size is this search.
+    ``dof = m - 1``; at ``dof = 1``, ``n`` is ``nu``.
+    :func:`min_integer_satisfying` brackets it from the hint ``ceil(raw)``
+    (clipped to ``[1, limit]``); every exact one-design sample size is
+    this search.
     """
-    hint = math.ceil(min(max(raw, 1.0), MAX_SUBJECTS))
+    hint = math.ceil(min(max(float(raw), 1.0), limit))
 
     def holds(n):
         cdf = ratio_cdf(w, n * dof, method)
         return (1.0 - cdf if upper else cdf) >= p_conf
 
     try:
-        return min_integer_satisfying(holds, hint)
+        return min_integer_satisfying(holds, hint, limit)
     except InfeasibleError:
         return 0

@@ -144,8 +144,9 @@ def normal_quantile(p, out=None):
 MAX_SUBJECTS = 10_000_000
 
 
-def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1) -> int:
-    """Smallest ``n`` in ``[1, MAX_SUBJECTS]`` with ``predicate(n)`` true, for monotone predicates.
+def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1,
+                           limit: int = MAX_SUBJECTS) -> int:
+    """Smallest ``n`` in ``[1, limit]`` with ``predicate(n)`` true, for monotone predicates.
 
     ``predicate`` must be false below some threshold and true from the
     threshold on.  Exponential bracketing around ``start_hint`` followed by
@@ -155,9 +156,9 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
     Raises
     ------
     InfeasibleError
-        If the predicate is still false at ``MAX_SUBJECTS``.
+        If the predicate is still false at ``limit``.
     """
-    hint = min(check_integer(start_hint, "start_hint"), MAX_SUBJECTS)
+    hint = min(check_integer(start_hint, "start_hint"), limit)
     step = 1
     if predicate(hint):
         # walk down for the false side of the bracket
@@ -172,14 +173,14 @@ def min_integer_satisfying(predicate: Callable[[int], bool], start_hint: int = 1
     else:
         # walk up for the true side of the bracket
         lo = hint
-        while lo < MAX_SUBJECTS:
-            hi = min(MAX_SUBJECTS, hint + step)
+        while lo < limit:
+            hi = min(limit, hint + step)
             if predicate(hi):
                 break
             lo = hi
             step *= 2
         else:
-            raise InfeasibleError(f"predicate still false at n={MAX_SUBJECTS}")
+            raise InfeasibleError(f"predicate still false at n={limit}")
 
     while hi - lo > 1:
         mid = (lo + hi) // 2

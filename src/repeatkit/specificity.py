@@ -16,10 +16,12 @@ uses the chi-square law of ``nu * W**2`` and holds at any ``nu``;
 
 Exact sample sizes come for one design (:func:`sample_size_specificity`)
 or for a whole grid of designs (:func:`sample_size_specificity_grid`, which
-the ``tables`` command prints).  One design brackets its ``n`` from the
-asymptotic hint over the chi-square tail.  The grid checks its values once,
-takes each value's quantile from the scalar kernels, and solves all its
-cells in one batched window search of :mod:`repeatkit.core`.
+the ``tables`` command prints).  The criterion depends on ``n`` only through
+``nu = n (m - 1)`` and grows with ``nu``, so both solve the least ``nu`` and
+divide.  One design brackets it from the asymptotic hint over the chi-square
+tail.  The grid checks its values once, takes each value's quantile from the
+scalar kernels, and solves each (confidence, floor, target) cell once, all
+in one batched window search of :mod:`repeatkit.core`.
 """
 
 from __future__ import annotations
@@ -208,12 +210,13 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     Smallest ``n`` such that, with ``nu = n (m - 1)`` degrees of freedom,
     the effective specificity stays at or above ``p_esp_lb`` with
     probability at least ``p_conf``.  The asymptotic method returns the
-    closed-form real solution (also in ``raw``) rounded up; the exact method
-    brackets the smallest qualifying integer from the asymptotic value over
-    the chi-square tail at the fixed ratio ``z_lb / z``.  A
-    floor whose coverage quantile ``z_lb`` is not below the target's ``z``
-    (adjacent doubles can share one) is infeasible like a floor at or above
-    the target.
+    closed-form real solution (also in ``raw``) rounded up.  The exact
+    method brackets the smallest qualifying ``nu`` from the asymptotic
+    value over the chi-square tail at the fixed ratio ``z_lb / z``, up to
+    ``MAX_SUBJECTS (m - 1)``; as that tail grows with ``nu``, ``n`` is
+    ``ceil(nu / (m - 1))``.  A floor whose coverage quantile ``z_lb`` is
+    not below the target's ``z`` (adjacent doubles can share one) is
+    infeasible like a floor at or above the target.
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -231,14 +234,16 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     z_lb = symmetric_coverage_quantile(p_esp_lb)
     if z_lb >= z:
         raise _no_separation(p_sp, p_esp_lb, z, z_lb)
-    raw = (_normal_quantile_above(p_conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
+    twice_raw_nu = (_normal_quantile_above(p_conf) * z / (z_lb - z)) ** 2
     if method is MethodChoice.ASYMPTOTIC:
+        raw = twice_raw_nu / (2.0 * (m - 1))
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    n = _search(z_lb / z, m - 1, p_conf, raw, upper=True)
-    if n == 0:
+    nu = _search(z_lb / z, 1, p_conf, twice_raw_nu / 2.0, upper=True,
+                 limit=MAX_SUBJECTS * (m - 1))
+    if nu == 0:
         raise _not_reached(p_sp, p_esp_lb, p_conf)
-    return SampleSizeResult(n=n, raw=None)
+    return SampleSizeResult(n=-(-nu // (m - 1)), raw=None)
 
 
 def _probabilities(values, name: str) -> np.ndarray:
@@ -253,20 +258,23 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
     solved.  Returns an int64 array of shape
     ``(len(m), len(p_conf), len(p_esp_lb), len(p_sp))`` holding each
     cell's exact ``n``, and 0 where the floor is at or above the target.
-    Raises :class:`InfeasibleError` for the first cell whose floor shares
-    the target's coverage quantile, else for the first cell (in that order)
-    that no ``n`` up to ``MAX_SUBJECTS`` satisfies.  Warns, like the scalar
-    function, for each ``p_conf <= 0.5`` in order.
+    The least ``nu`` of each (``p_conf``, ``p_esp_lb``, ``p_sp``) cell is
+    solved once, up to ``MAX_SUBJECTS (m - 1)`` for the largest ``m``, and
+    ``n = ceil(nu / (m - 1))`` for each ``m``.  Raises
+    :class:`InfeasibleError` for the first cell whose floor shares the
+    target's coverage quantile, else for the first cell in
+    (``m``, ``p_conf``, ``p_esp_lb``, ``p_sp``) order that no ``n`` up to
+    ``MAX_SUBJECTS`` satisfies.  Warns, like the scalar function, for each
+    ``p_conf <= 0.5`` in order.
     """
-    # Python ints, so that m - 1 is exact at any count
-    m = np.array([check_integer(v, "replicates per subject m", 2) for v in m], dtype=object)
+    m = [check_integer(v, "replicates per subject m", 2) for v in m]
     p_sp = _probabilities(p_sp, "p_sp")
     p_esp_lb = _probabilities(p_esp_lb, "p_esp_lb")
     p_conf = _probabilities(p_conf, "p_conf")
-    sizes = np.zeros((m.size, p_conf.size, p_esp_lb.size, p_sp.size), dtype=np.int64)
-    cells = np.nonzero(np.broadcast_to(p_esp_lb[:, None] < p_sp, sizes.shape))
-    mi, ci, li, si = cells
-    if mi.size == 0:
+    sizes = np.zeros((len(m), p_conf.size, p_esp_lb.size, p_sp.size), dtype=np.int64)
+    cells = np.nonzero(np.broadcast_to(p_esp_lb[:, None] < p_sp, sizes.shape[1:]))
+    ci, li, si = cells
+    if not m or ci.size == 0:
         return sizes
     for conf in p_conf.tolist():
         if conf <= 0.5:
@@ -282,14 +290,16 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
                              float(z[i]), float(z_lb[i]))
     # numpy squares exactly, where Python's ** calls libm's pow and can round
     # the other way; the hint then moves by one only where raw is within an
-    # ulp of an integer, and the n found does not depend on the hint
-    dof = m[mi] - 1
+    # ulp of an integer, and the nu found does not depend on the hint
     q = np.array([_normal_quantile_above(p) for p in p_conf.tolist()])[ci]
-    raw = (q * z / (z_lb - z)) ** 2 / (2.0 * dof.astype(float))
-    n = _min_subjects(z_lb / z, dof, p_conf[ci], raw)
-    missing = np.flatnonzero(n == 0)
-    if missing.size:
-        i = missing[0]
-        raise _not_reached(float(p_sp[si[i]]), float(p_esp_lb[li[i]]), float(p_conf[ci[i]]))
-    sizes[cells] = n
+    raw = (q * z / (z_lb - z)) ** 2 / 2.0
+    nu = _min_subjects(z_lb / z, p_conf[ci], raw, MAX_SUBJECTS * (max(m) - 1))
+    for k, dof in enumerate(v - 1 for v in m):
+        n = -(-nu // dof)
+        missing = np.flatnonzero((nu == 0) | (n > MAX_SUBJECTS))
+        if missing.size:
+            i = missing[0]
+            raise _not_reached(float(p_sp[si[i]]), float(p_esp_lb[li[i]]),
+                               float(p_conf[ci[i]]))
+        sizes[k][cells] = n
     return sizes

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -33,11 +34,19 @@ from repeatkit.cli import (
 from repeatkit.errors import DataValidationError
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 FIXTURE_CSV = (
     "subject_id,replicate_index,value\n"
     "A,1,0\nA,2,2\nB,1,5\nB,2,5\nC,1,10\nC,2,14\n"
 )
+
+
+def run_module(*argv, **kwargs):
+    """``python -m repeatkit`` in a child process that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "repeatkit", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
 
 
 def run(capsys, *argv):
@@ -91,6 +100,21 @@ class TestEnvelope:
         assert floats
         for x in floats:
             assert x == float(f"{x:.10g}")
+
+    @given(st.floats())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(5e-324)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_text_shows_the_payload_digits(self, x):
+        # table and CSV output format each float once; the JSON payload
+        # rounds it to ten digits first, and both read the same
+        assert cli._fmt(x) == f"{cli._round10(x):.10g}"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "samplesize-spec", "--esp-lb", "0.90",
@@ -152,8 +176,7 @@ class TestParser:
         argv = ("retro", "--nu", "5", "--bound", "0.9", "--format", "json")
         assert run(capsys, "retro", "--nu", "5", "--bound", "zero")[0] == EXIT_USAGE
         code, out, _ = run(capsys, *argv)
-        fresh = subprocess.run([sys.executable, "-m", "repeatkit", *argv],
-                               capture_output=True, text=True)
+        fresh = run_module(*argv, text=True)
         assert code == fresh.returncode == EXIT_OK
         assert out == fresh.stdout
 
@@ -193,6 +216,16 @@ class TestSampleSizeSpec:
         code, _, err = run(capsys, "samplesize-spec", "--esp-lb", "0.96")
         assert code == EXIT_INFEASIBLE
         assert "infeasible design" in err
+
+    def test_replicates_past_1e307_need_one_subject(self, capsys):
+        # nu = m - 1 puts W at 1 to within any double, so every floor below
+        # the target holds at n = 1
+        m = 10**307
+        payload = run_json(capsys, "samplesize-spec", "--m", str(m), "--psp", "0.99",
+                           "--esp-lb", "0.90", "--conf", "0.95")
+        assert payload["inputs"]["m"] == m
+        assert one(payload, "sample_size", "exact") == 1
+        assert one(payload, "sample_size", "asymptotic") == 1
 
     def test_search_exhaustion_exit_code(self, capsys):
         code, out, err = run(capsys, "samplesize-spec", "--esp-lb", "0.9499999",
@@ -557,8 +590,7 @@ class TestEstimate:
         path.write_bytes(content)
         file_code, file_out, file_err = run(capsys, "estimate", "--csv", str(path),
                                             "--format", "csv")
-        proc = subprocess.run([sys.executable, "-m", "repeatkit", "estimate", "--csv", "-",
-                               "--format", "csv"], input=content, capture_output=True)
+        proc = run_module("estimate", "--csv", "-", "--format", "csv", input=content)
         assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == \
             (file_code, file_out, file_err.replace(str(path), "<stdin>"))
 
@@ -1203,23 +1235,16 @@ class TestSimulate:
 
 class TestInstalledEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repeatkit", "samplesize-spec",
-             "--esp-lb", "0.90", "--format", "json"],
-            capture_output=True, text=True)
+        proc = run_module("samplesize-spec", "--esp-lb", "0.90", "--format", "json", text=True)
         assert proc.returncode == EXIT_OK
         payload = json.loads(proc.stdout)
         assert one(payload, "sample_size", "exact") == 54
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repeatkit", "--version"],
-            capture_output=True, text=True)
+        proc = run_module("--version", text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"repeatkit {__version__}"
 
     def test_usage_error_exit_code_in_subprocess(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repeatkit", "samplesize-spec"],
-            capture_output=True, text=True)
+        proc = run_module("samplesize-spec", text=True)
         assert proc.returncode == EXIT_USAGE

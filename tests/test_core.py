@@ -371,6 +371,14 @@ class TestRatioLaw:
         # (w - 1) sqrt(2 nu) overflows to inf, where the normal CDF is 1
         assert ratio_cdf(1e308, 10**7, method) == 1.0
 
+    @pytest.mark.parametrize("nu", [10**305, 10**306, 10**307, 10**308])
+    def test_cdf_is_certain_at_huge_nu(self, nu):
+        # W is 1 to within any double; scipy's gammainc is NaN here from nu of
+        # about 1e306 on, and already right at 1e305
+        assert ratio_cdf(0.5, nu) == 0.0
+        assert ratio_cdf(2.0, nu) == 1.0
+        assert ratio_cdf(1.0, nu) == 0.5
+
     def test_quantile_against_chi_square(self):
         for nu in (1, 2, 5, 35, 139, 10**6):
             for q in (1e-10, 0.01, 0.05, 0.5, 0.95, 0.99):

@@ -11,14 +11,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
 from repeatkit import core
 from repeatkit.cli import TABLE_CONF_VALUES, TABLE_LB_VALUES, TABLE_M_VALUES, TABLE_PSP_VALUES
 from repeatkit.core import _normal_quantile_above, ratio_cdf, symmetric_coverage_quantile
 from repeatkit.errors import DomainError, InfeasibleError
-from repeatkit.numerics import min_integer_satisfying, normal_quantile
+from repeatkit.numerics import MAX_SUBJECTS, min_integer_satisfying, normal_quantile
 from repeatkit.specificity import (
     MethodChoice,
     SampleSizeResult,
@@ -322,6 +322,13 @@ class TestSampleSizeSpecificity:
         if res.n > 1:
             assert conf_at(res.n - 1) < conf
 
+    @pytest.mark.parametrize("m", [10**307, 10**308, int(1.7976931348623157e308)])
+    def test_replicates_past_1e307_need_one_subject(self, m):
+        # nu = m - 1 lies where W is 1 to within any double
+        assert sample_size_specificity(m, 0.99, 0.90, 0.95).n == 1
+        assert sample_size_specificity_grid([2, m], [0.99], [0.90], [0.95])[:, 0, 0, 0].tolist() \
+            == [sample_size_specificity(2, 0.99, 0.90, 0.95).n, 1]
+
     def test_equal_nu_designs_agree(self):
         # (m=2, n) and (m=3, n') with the same pooled dof share one threshold
         n2 = sample_size_specificity(2, 0.95, 0.90, 0.95, MethodChoice.EXACT).n
@@ -376,6 +383,32 @@ def _plan_shaped_grid(seed):
     return (2, 3, 4, 5), draw(0.90, 0.995), draw(0.70, 0.999), draw(0.80, 0.99)
 
 
+def _published_ratios(test):
+    # each ratio z_lb / z of the published tables, one step below its nu_min
+    # at confidence 0.95, where the solve turns
+    for psp in TABLE_PSP_VALUES:
+        for lb in (v for v in TABLE_LB_VALUES if v < psp):
+            nu = sample_size_specificity(2, psp, lb, 0.95).n
+            test = example(symmetric_coverage_quantile(lb) / symmetric_coverage_quantile(psp),
+                           max(nu - 1, 1))(test)
+    return test
+
+
+@_published_ratios
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.integers(min_value=1, max_value=10**4 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_confidence_is_non_decreasing_in_nu(w, nu):
+    # P[W >= w] for w < 1 never falls as nu grows, so the least nu with enough
+    # confidence gives every m its n; compared as the falling P[W < w] at
+    # 50 digits, whose relative error there is far below the 1e-40 allowed
+    with mp.workdps(50):
+        def below(k):
+            return mp.gammainc(mp.mpf(k) / 2, 0, mp.mpf(k) * mp.mpf(w) ** 2 / 2,
+                               regularized=True)
+        assert below(nu + 1) <= below(nu) * (1 + mp.mpf(10) ** -40)
+
+
 class TestSampleSizeGrid:
     """The one-pass grid search against the cell-by-cell search it replaced."""
 
@@ -388,28 +421,37 @@ class TestSampleSizeGrid:
         _assert_grid_matches_scalar_search(*_plan_shaped_grid(seed))
 
     def test_unsettled_window_falls_back_to_the_search(self, monkeypatch):
-        # the asymptotic hint is 4092 and the exact n 4097, past the window
+        # the asymptotic hint of nu is 240 and the exact nu 247, past the window
         hints = []
 
-        def counting(predicate, start_hint):
+        def counting(predicate, start_hint, limit):
             hints.append(start_hint)
-            return min_integer_satisfying(predicate, start_hint)
+            return min_integer_satisfying(predicate, start_hint, limit)
 
         monkeypatch.setattr(core, "min_integer_satisfying", counting)
-        sizes = sample_size_specificity_grid([2, 3], [0.95, 0.901], [0.894], [0.966])
-        assert hints == [4092]
-        assert sizes[:, 0, 0].tolist() == [[_scalar_search(2, 0.95, 0.894, 0.966), 4097],
-                                           [_scalar_search(3, 0.95, 0.894, 0.966),
-                                            _scalar_search(3, 0.901, 0.894, 0.966)]]
+        sizes = sample_size_specificity_grid([2, 3], [0.95, 0.914], [0.894], [0.9])
+        assert hints == [240]
+        assert sizes[:, 0, 0].tolist() == [[_scalar_search(2, 0.95, 0.894, 0.9), 247],
+                                           [_scalar_search(3, 0.95, 0.894, 0.9),
+                                            _scalar_search(3, 0.914, 0.894, 0.9)]]
 
     def test_any_hint_gives_the_same_n(self):
         # windows far from the answer, on either side and at both ends of the
         # range, all fall back and find it
         z, z_lb = symmetric_coverage_quantile(0.95), symmetric_coverage_quantile(0.90)
         raw = np.array([1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
-        n = core._min_subjects(np.full(6, z_lb / z), np.ones(6), np.full(6, 0.95), raw)
+        n = core._min_subjects(np.full(6, z_lb / z), np.full(6, 0.95), raw, MAX_SUBJECTS)
         assert n.tolist() == [54] * 6
         assert [core._search(z_lb / z, 1, 0.95, r, upper=True) for r in raw] == [54] * 6
+
+    @pytest.mark.parametrize("ms", [[5, 3], [5, 2**70], [4, 10**12]])
+    def test_nu_past_max_subjects(self, ms):
+        # nu_min is about 1.4e7, past MAX_SUBJECTS: m = 2 cannot reach it and
+        # m = 3 can; past int64's range, the grid's nu are Python ints
+        want = [_scalar_search(m, 0.95, 0.9499, 0.99) for m in ms]
+        assert sample_size_specificity_grid(ms, [0.95], [0.9499], [0.99])[:, 0, 0, 0].tolist() \
+            == want
+        assert [sample_size_specificity(m, 0.95, 0.9499, 0.99).n for m in ms] == want
 
     def test_infeasible_at_max_subjects(self):
         assert _scalar_search(2, 0.95, 0.9499999, 0.99) == "infeasible"
