@@ -57,7 +57,7 @@ from .sensitivity import (
     sensitivity_lower_bound,
 )
 from .mc import EmpiricalDistribution, SimulationConfig, simulate_study
-from .numerics import check_probability
+from .numerics import check_integer, check_probability
 
 __all__ = ["main", "build_parser", "ReportEnvelope"]
 
@@ -72,6 +72,9 @@ EXIT_INFEASIBLE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_CANTCREAT = 73
+
+# Longest file name, in bytes, that common file systems take (NAME_MAX).
+_MAX_FILE_NAME = 255
 
 
 class UsageError(DomainError):
@@ -89,9 +92,24 @@ def _fmt(x) -> str:
     if x is True or x is False:
         return "true" if x else "false"
     if isinstance(x, float):
-        # the digits of _round10(x), which :meth:`ReportEnvelope.to_payload` writes
+        # the digits of _round10(x), which the JSON rendering writes
         return f"{x:.10g}"
     return str(x)
+
+
+# A list of scalars as JSON, one scalar per line: a separator of "\n" keeps
+# the C encoder, which json.dumps skips whenever it indents.
+_encode_lines = json.JSONEncoder(separators=("\n", ": ")).encode
+# One result row of an indented JSON payload, without its leading indent.
+_JSON_RESULT = ('{\n      "name": %s,\n      "value": %s,\n      "method": %s,\n'
+                '      "units": %s\n    }')
+
+
+def _json_block(items: list, indent: str, brackets: str = "[]") -> str:
+    """``items`` one per line in ``brackets``, as an indented JSON value closed at ``indent``."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}{brackets[1]}"
 
 
 @dataclass
@@ -114,28 +132,43 @@ class ReportEnvelope:
         messages = [str(w.message) for w in caught] + self.warnings
         self.warnings = list(dict.fromkeys(messages))
 
-    def to_payload(self) -> dict:
-        def clean(v):
-            if isinstance(v, float):
-                return _round10(v)
-            if isinstance(v, (list, tuple)):
-                return [clean(item) for item in v]
-            if isinstance(v, dict):
-                return {k: clean(item) for k, item in v.items()}
-            return v
+    def _json(self) -> str:
+        """The envelope as ``json.dumps(payload, indent=2) + "\\n"``, in one pass.
 
-        return {
-            "command": self.command,
-            "inputs": clean(self.inputs),
-            "method": list(self.method),
-            "results": clean(self.results),
-            "warnings": list(self.warnings),
-            "tool_version": self.tool_version,
-        }
+        The payload holds the envelope's fields in order, each float of the
+        inputs and results rounded by :func:`_round10`.  Every scalar is
+        collected in document order (input keys are strings, input values
+        scalars or lists of them) and one C-encoder call writes them one per
+        line, as ``ensure_ascii`` keeps newlines out of encoded strings.  A
+        ``%s`` template of the envelope's fixed layout takes the texts.
+        """
+        scalars = [self.command]
+        entries = []
+        for key, v in self.inputs.items():
+            scalars.append(key)
+            if isinstance(v, (list, tuple)):
+                scalars.extend([_round10(x) if isinstance(x, float) else x for x in v])
+                entries.append("%s: " + _json_block(["%s"] * len(v), "    "))
+            else:
+                scalars.append(_round10(v) if isinstance(v, float) else v)
+                entries.append("%s: %s")
+        scalars.extend(self.method)
+        for r in self.results:
+            v = r["value"]
+            scalars += (r["name"], _round10(v) if isinstance(v, float) else v,
+                        r["method"], r["units"])
+        scalars.extend(self.warnings)
+        scalars.append(self.tool_version)
+        template = (f'{{\n  "command": %s,\n  "inputs": {_json_block(entries, "  ", "{}")},\n'
+                    f'  "method": {_json_block(["%s"] * len(self.method), "  ")},\n'
+                    f'  "results": {_json_block([_JSON_RESULT] * len(self.results), "  ")},\n'
+                    f'  "warnings": {_json_block(["%s"] * len(self.warnings), "  ")},\n'
+                    '  "tool_version": %s\n}\n')
+        return template % tuple(_encode_lines(scalars)[1:-1].split("\n"))
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_payload(), indent=2) + "\n"
+            return self._json()
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -665,7 +698,14 @@ def cmd_estimate(args) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 def cmd_tables(args) -> ReportEnvelope:
-    # every value is checked and every grid solved before anything is written
+    # every value is checked and every grid solved before anything is written;
+    # an m is checked for its file names first, in list order
+    for m in args.m_list:
+        check_integer(m, "replicates per subject m", 2)
+        size = len(f"samplesize_spec_m{m}.csv")
+        if size > _MAX_FILE_NAME:
+            raise UsageError(f"replicates per subject m = {m} makes a file name of {size} "
+                             f"bytes, over the {_MAX_FILE_NAME}-byte limit")
     sizes = sample_size_specificity_grid(args.m_list, args.psp_list, args.esp_lb_list,
                                          args.conf_list)
     os.makedirs(args.out, exist_ok=True)

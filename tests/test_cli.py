@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -81,6 +82,70 @@ def one(payload, name, method=None):
     return got[0]
 
 
+def reference_json(env):
+    """``json.dumps(..., indent=2)`` of the envelope's payload, floats cleaned recursively."""
+    def clean(v):
+        if isinstance(v, float):
+            return cli._round10(v)
+        if isinstance(v, (list, tuple)):
+            return [clean(item) for item in v]
+        if isinstance(v, dict):
+            return {k: clean(item) for k, item in v.items()}
+        return v
+
+    payload = {
+        "command": env.command,
+        "inputs": clean(env.inputs),
+        "method": list(env.method),
+        "results": clean(env.results),
+        "warnings": list(env.warnings),
+        "tool_version": env.tool_version,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Any text a --csv path or a message can hold: quotes, backslashes, line
+# ends, control characters, non-ASCII and lone surrogates (undecodable argv).
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028'),
+                          st.characters(exclude_categories=())), max_size=8)
+_FLOAT = st.floats()
+_SCALAR = st.one_of(_FLOAT, _FLOAT.map(np.float64), st.integers(),
+                    st.integers(2**64, 2**200), st.integers(-2**200, -2**64),
+                    st.booleans(), st.none(), _TEXT)
+_CORNER_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, sys.float_info.max,
+                  -sys.float_info.max, 0.1 + 0.2, 1e16, 123456789.0]
+
+
+@st.composite
+def envelopes(draw):
+    env = cli.ReportEnvelope(
+        command=draw(_TEXT),
+        inputs=draw(st.dictionaries(_TEXT, st.one_of(
+            _SCALAR, st.lists(_SCALAR, max_size=4),
+            st.lists(_SCALAR, max_size=4).map(tuple)), max_size=5)),
+        method=draw(st.lists(_TEXT, max_size=3).map(tuple)),
+        warnings=draw(st.lists(_TEXT, max_size=3)),
+        tool_version=draw(_TEXT))
+    for name, value, method, units in draw(st.lists(
+            st.tuples(_TEXT, _SCALAR, _TEXT, _TEXT), max_size=6)):
+        env.add(name, value, method, units)
+    return env
+
+
+def _corner_envelope():
+    env = cli.ReportEnvelope(
+        command='e"s\\t\n\x01\u00e9\U0001d11e\udcff',
+        inputs={"csv": "d\u00e9j\u00e0 \"vu\".csv", "floats": _CORNER_FLOATS,
+                "np": tuple(map(np.float64, _CORNER_FLOATS)), "big": [2**64, -2**70],
+                "flags": [True, False, None], "empty": [], "none": None},
+        method=("exact", "monte-carlo"), warnings=["a\nb", "c"])
+    for x in _CORNER_FLOATS + [np.float64(x) for x in _CORNER_FLOATS]:
+        env.add(f"value[{x!r}]", x, "exact", "probability")
+    for x in (2**64 + 1, -2**64, 0, True, None, "path/\u00fc\"q\".csv"):
+        env.add("other", x, "exact", "count")
+    return env
+
+
 class TestEnvelope:
     def test_json_schema_and_key_order(self, capsys):
         payload = run_json(capsys, "samplesize-spec", "--esp-lb", "0.90")
@@ -132,6 +197,49 @@ class TestEnvelope:
         assert out.startswith(f"repeatkit retro (v{__version__})")
         assert "94.20%" in out
         assert "88.36%" in out
+
+    @pytest.mark.parametrize("pure_python", [False, True])
+    @given(env=envelopes())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(env=_corner_envelope())
+    @example(env=cli.ReportEnvelope("c", {}, ()))
+    def test_json_is_the_indented_dump_of_the_payload(self, pure_python, env):
+        # the one-pass rendering is json.dumps(..., indent=2) of the payload,
+        # byte for byte, with the C encoder and with json's pure-Python one
+        with contextlib.ExitStack() as stack:
+            if pure_python:
+                stack.enter_context(mock.patch.object(json.encoder, "c_make_encoder", None))
+                stack.enter_context(mock.patch.object(
+                    json.encoder, "encode_basestring_ascii",
+                    json.encoder.py_encode_basestring_ascii))
+            assert env.render("json") == reference_json(env)
+
+    def test_every_subcommand_prints_the_indented_dump(self, capsys, monkeypatch, tmp_path):
+        study = tmp_path / 'st\u00fcdy "1".csv'
+        study.write_text(FIXTURE_CSV)
+        rendered = []
+        render = cli.ReportEnvelope.render
+        monkeypatch.setattr(cli.ReportEnvelope, "render",
+                            lambda env, fmt: rendered.append(env) or render(env, fmt))
+        commands = [
+            ("samplesize-spec", "--esp-lb", "0.90"),
+            ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75"),
+            ("retro", "--n", "35", "--bound", "0.9,0.94", "--delta", "2,4"),
+            ("retro", "--nu", "1"),
+            ("estimate", "--csv", str(study)),
+            ("tables", "--out", str(tmp_path / "tables"), "--m-list", "2,3",
+             "--conf-list", "0.5,0.95"),
+            ("figure-data", "--figure", "2", "--out", str(tmp_path / "figures")),
+            ("simulate", "--n", "10", "--replicates", "2000", "--delta", "2",
+             "--longitudinal"),
+        ]
+        for argv in commands:
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK, (argv, err)
+            assert out == reference_json(rendered[-1]), argv
+        assert any(env.warnings for env in rendered)
+        assert {argv[0] for argv in commands} == {
+            name[4:].replace("_", "-") for name in dir(cli) if name.startswith("cmd_")}
 
     @pytest.mark.parametrize("argv", [
         ("samplesize-sens", "--delta", repr(sys.float_info.max), "--ese-lb", "0.5"),
@@ -1071,6 +1179,11 @@ class TestTables:
          "replicates per subject m must be an integer >= 2, got 1"),
         (("--m-list", "2,0"),
          "replicates per subject m must be an integer >= 2, got 0"),
+        (("--m-list", f"2,{10**234},1"),
+         f"replicates per subject m = {10**234} makes a file name of 256 bytes, "
+         "over the 255-byte limit"),
+        (("--m-list", f"1,{10**234}"),
+         "replicates per subject m must be an integer >= 2, got 1"),
     ])
     def test_every_value_is_checked_before_any_file(self, capsys, tmp_path, lists, message):
         # blank cells and later grids used to leave these values unchecked
@@ -1080,6 +1193,14 @@ class TestTables:
         assert stdout == ""
         assert err == f"repeatkit: usage error: {message}\n"
         assert not out.exists()
+
+    def test_longest_file_name_is_written(self, capsys, tmp_path):
+        m = 10**233
+        payload = run_json(capsys, "tables", "--out", str(tmp_path), "--m-list", str(m),
+                           "--conf-list", "0.95", "--esp-lb-list", "0.9", "--psp-list", "0.95")
+        assert len(f"samplesize_spec_m{m}.csv") == 255
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(Path(f).name for f in values(payload, "file"))
 
     def test_shared_coverage_quantile_is_infeasible(self, capsys, tmp_path):
         for argv in (("samplesize-spec", "--m", "2", "--psp", "0.5",
