@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("estimate", help="estimate the within-subject SD from CSV data")
     p.add_argument("--csv", required=True,
-                   help="CSV path with header subject_id,replicate_index,value ('-' = stdin)")
+                   help=f"CSV path with header {','.join(_COLUMNS)} ('-' = stdin)")
     p.add_argument("--psp", type=float, default=0.95)
     _add_format_flag(p)
 
@@ -433,6 +433,7 @@ def cmd_retro(args) -> ReportEnvelope:
     return env
 
 
+_COLUMNS = ("subject_id", "replicate_index", "value")  # a measurement CSV's header
 # Replicate indices are compared as 64-bit integers.
 _MAX_REPLICATE_INDEX = 2**63 - 1
 
@@ -457,10 +458,9 @@ def _read_study(stream, source: str) -> tuple[list[str], np.ndarray, np.ndarray]
         header = next(reader, None)
         if header is None:
             raise DataValidationError(f"{source}: empty file")
-        expected = ["subject_id", "replicate_index", "value"]
-        if [h.strip() for h in header] != expected:
+        if tuple(h.strip() for h in header) != _COLUMNS:
             raise DataValidationError(
-                f"{source}: header must be {','.join(expected)!r}, got {','.join(header)!r}")
+                f"{source}: header must be {','.join(_COLUMNS)!r}, got {','.join(header)!r}")
         line = reader.line_num
         for row in reader:
             start, line = line + 1, reader.line_num
@@ -547,7 +547,7 @@ def _checked(names, codes, idx, values):
     return names, codes, values
 
 
-_HEADER = b"subject_id,replicate_index,value\n"
+_HEADER = (",".join(_COLUMNS) + "\n").encode()
 # Bytes that make csv.reader's rows differ from a plain split on "," and "\n"
 # (a quote, another line end, NUL), or that numpy's parser skips as blanks
 # inside a number where int() and float() reject them (\x1c to \x1f).

@@ -69,23 +69,13 @@ SMALL_NU_WARNING_THRESHOLD = 10
 def symmetric_coverage_quantile(p_sp: float) -> float:
     """Half-width multiplier z with P[-z <= Z <= z] = p_sp for standard normal Z.
 
-    Equals ``normal_quantile(1 - (1 - p_sp)/2)``; the factor that turns a
-    standard deviation into the half-width of a symmetric interval with
-    coverage ``p_sp``.  Where that argument rounds to 0.5 (``p_sp < ~1e-16``)
-    or 1, ``sqrt(2) erfinv(p_sp)`` or ``-normal_quantile((1 - p_sp)/2)``
-    stands in.
+    ``sqrt(2) erfinv(p_sp)``, the factor that turns a standard deviation into
+    the half-width of a symmetric interval with coverage ``p_sp``.  The
+    closed form keeps full relative precision over all of (0, 1), where
+    ``normal_quantile(1 - (1 - p_sp)/2)`` loses the digits that ``1 - p_sp``
+    rounds away.
     """
-    p_sp = check_probability(p_sp, "p_sp")
-    tail = (1.0 - p_sp) / 2.0
-    if 1.0 - tail == 0.5:
-        return _SQRT2 * float(erfinv(p_sp))
-    return _normal_quantile_above(tail)
-
-
-def _normal_quantile_above(p: float) -> float:
-    """``normal_quantile(1 - p)``, or ``-normal_quantile(p)`` where ``1 - p`` rounds to 1."""
-    q = 1.0 - p
-    return normal_quantile(q) if q < 1.0 else -normal_quantile(p)
+    return _SQRT2 * float(erfinv(check_probability(p_sp, "p_sp")))
 
 
 def design_degrees_of_freedom(n_subjects: int, replicates: int) -> int:
@@ -343,9 +333,14 @@ def _ratio_log_density(w: float, nu: int) -> float:
 def ratio_density_exact(w: float, nu: int) -> float:
     """Density of ``W = wsd_hat / w_SD`` at ``w > 0``: ``f_chi2(nu w^2) * 2 w nu``.
 
-    The exponential of :func:`_ratio_log_density`.
+    The exponential of :func:`_ratio_log_density`; a :class:`DomainError`
+    where that overflows, as at huge ``nu`` its terms cancel to rounding noise.
     """
-    return math.exp(_ratio_log_density(w, check_integer(nu, "nu")))
+    nu = check_integer(nu, "nu")
+    try:
+        return math.exp(_ratio_log_density(w, nu))
+    except OverflowError:
+        raise DomainError(f"the density of W at nu={nu} is lost to rounding") from None
 
 
 def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
@@ -368,35 +363,40 @@ def ratio_cdf(w: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> f
 def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT) -> float:
     """The ``w`` with ``ratio_cdf(w, nu, method) = q``, inverse of :func:`ratio_cdf`.
 
-    Raises DomainError where the normal approximation puts the quantile at
-    or below 0, which happens for small ``nu`` and small ``q``.
+    Exactly ``sqrt(2 gammaincinv(nu/2, q) / nu)``, or ``sqrt(2) erfinv(q)`` at
+    ``nu = 1``, where ``W = |Z|`` and the former underflows below ``q`` of
+    about 1e-154.  Raises DomainError where the normal approximation puts
+    the quantile at or below 0, which happens for small ``nu`` and small ``q``.
     """
-    nu = check_integer(nu, "nu")
-    q = check_probability(q, "q")
-    if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
-        return math.sqrt(2.0 * float(gammaincinv(0.5 * nu, q)) / nu)
-    w = 1.0 + normal_quantile(q) / math.sqrt(2.0 * nu)
-    if w <= 0.0:
-        raise DomainError(
-            f"normal approximation places the {q:g} ratio quantile at "
-            f"w={w:.4g} <= 0 for nu={nu}; use the exact method")
-    return w
+    return _ratio_quantile(q, nu, method, upper=False)
 
 
 def _ratio_quantile_above(p: float, nu: int,
                           method: MethodChoice = MethodChoice.EXACT) -> float:
     """The ``w`` with ``P[W > w] = p``: :func:`ratio_quantile` at ``1 - p``.
 
-    Where ``1 - p`` rounds to 1 the upper-tail inverses stand in:
-    ``2 gammainccinv(nu/2, p)`` for the chi-square quantile and
-    ``-normal_quantile(p)`` for the normal one.
+    By the upper-tail inverses of ``p`` itself, so no digit is lost to
+    ``1 - p``: ``sqrt(2 gammainccinv(nu/2, p) / nu)`` exactly and
+    ``1 - normal_quantile(p) / sqrt(2 nu)`` asymptotically.
     """
-    if 1.0 - p < 1.0:
-        return ratio_quantile(1.0 - p, nu, method)
+    return _ratio_quantile(p, nu, method, upper=True)
+
+
+def _ratio_quantile(p, nu, method, upper: bool) -> float:
+    # the w with P[W > w] = p if upper, else P[W <= w] = p
     nu = check_integer(nu, "nu")
+    p = check_probability(p, "q")
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:
-        return math.sqrt(2.0 * float(gammainccinv(0.5 * nu, p)) / nu)
-    return 1.0 - normal_quantile(p) / math.sqrt(2.0 * nu)
+        if nu == 1 and not upper:
+            return symmetric_coverage_quantile(p)
+        return math.sqrt(2.0 * float((gammainccinv if upper else gammaincinv)(0.5 * nu, p)) / nu)
+    z = normal_quantile(p)
+    w = 1.0 + (-z if upper else z) / math.sqrt(2.0 * nu)
+    if w <= 0.0:
+        raise DomainError(
+            f"normal approximation places the {1.0 - p if upper else p:g} ratio quantile "
+            f"at w={w:.4g} <= 0 for nu={nu}; use the exact method")
+    return w
 
 
 # ---------------------------------------------------------------------------

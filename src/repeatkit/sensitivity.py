@@ -30,7 +30,6 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
-    _normal_quantile_above,
     _search,
     ratio_cdf,
     ratio_quantile,
@@ -242,7 +241,7 @@ def _ratio_cap(eff: EffectSize, p_sp: float, p_ese_lb: float,
             f"the attainable sensitivity p_se(delta={eff.delta:g}) = {attainable:.6f} "
             f"at p_sp={p_sp:g} under {approximation.value}")
     if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
-        cap = (_normal_quantile_above(p_ese_lb) + d) / z
+        cap = (d - normal_quantile(p_ese_lb)) / z
     else:
         cap = _invert_two_sided(p_ese_lb, d, z)
     return min(cap, sys.float_info.max), z, d
@@ -327,7 +326,7 @@ def sample_size_sensitivity(
     if p_conf <= 0.5:
         _warn_low_confidence(p_conf)
 
-    denom = _normal_quantile_above(p_ese_lb) + d - z
+    denom = -normal_quantile(p_ese_lb) + d - z
     # denom > 0 is guaranteed when the one-sided feasibility check ran; a
     # two-sided query can be feasible with denom <= 0, where the closed
     # form has no solution and the search starts from n = 1.

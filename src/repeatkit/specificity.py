@@ -39,7 +39,6 @@ from .core import (
     _as_choice,
     _band_edge,
     _min_subjects,
-    _normal_quantile_above,
     _ratio_log_density,
     _ratio_quantile_above,
     _search,
@@ -51,6 +50,7 @@ from .numerics import (
     check_integer,
     check_probability,
     normal_cdf,
+    normal_quantile,
 )
 
 __all__ = [
@@ -234,7 +234,7 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     z_lb = symmetric_coverage_quantile(p_esp_lb)
     if z_lb >= z:
         raise _no_separation(p_sp, p_esp_lb, z, z_lb)
-    twice_raw_nu = (_normal_quantile_above(p_conf) * z / (z_lb - z)) ** 2
+    twice_raw_nu = (-normal_quantile(p_conf) * z / (z_lb - z)) ** 2
     if method is MethodChoice.ASYMPTOTIC:
         raw = twice_raw_nu / (2.0 * (m - 1))
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
@@ -291,7 +291,7 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
     # numpy squares exactly, where Python's ** calls libm's pow and can round
     # the other way; the hint then moves by one only where raw is within an
     # ulp of an integer, and the nu found does not depend on the hint
-    q = np.array([_normal_quantile_above(p) for p in p_conf.tolist()])[ci]
+    q = -np.array([normal_quantile(p) for p in p_conf.tolist()])[ci]
     raw = (q * z / (z_lb - z)) ** 2 / 2.0
     nu = _min_subjects(z_lb / z, p_conf[ci], raw, MAX_SUBJECTS * (max(m) - 1))
     for k, dof in enumerate(v - 1 for v in m):

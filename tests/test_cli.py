@@ -446,13 +446,13 @@ _VANISHING_EFFECT = ("samplesize-sens", "--mu-delta", "1e-300", "--wsd", "1e300"
 @pytest.mark.parametrize("argv", [
     # nu * u^2 overflows; the exact confidence is then 1
     ("samplesize-sens", "--delta", "1e155", "--ese-lb", "0.9"),
-    # the coverage quantile's argument rounds to 0.5 ...
+    # coverage quantiles near 0 ...
     ("retro", "--nu", "5", "--psp", "1e-17", "--bound", "0.5"),
     ("samplesize-spec", "--esp-lb", "1e-300", "--psp", "1e-200"),
     ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75", "--psp", "1e-300"),
-    # ... or to 1
+    # ... and at the largest target below 1
     ("samplesize-spec", "--esp-lb", "0.5", "--psp", "0.9999999999999999"),
-    # 1 - p rounds to 1; the upper-tail quantiles stand in
+    # upper-tail quantiles of probabilities whose complement rounds to 1
     ("retro", "--nu", "5", "--conf", "1e-300", "--delta", "4"),
     ("samplesize-spec", "--esp-lb", "0.9", "--conf", "1e-300"),
     ("samplesize-sens", "--delta", "4", "--ese-lb", "0.75", "--conf", "1e-300"),
@@ -1203,6 +1203,17 @@ class TestTables:
             sorted(Path(f).name for f in values(payload, "file"))
 
     def test_shared_coverage_quantile_is_infeasible(self, capsys, tmp_path):
+        for argv in (("samplesize-spec", "--m", "2", "--psp", "0.6369616873214544",
+                      "--esp-lb", "0.6369616873214543", "--conf", "0.95"),
+                     ("tables", "--out", str(tmp_path), "--psp-list", "0.6369616873214544",
+                      "--esp-lb-list", "0.6369616873214543")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_INFEASIBLE
+            assert out == ""
+            assert "coverage quantile is not below the target's" in err
+
+    def test_separated_adjacent_doubles_are_out_of_reach(self, capsys, tmp_path):
+        # 0.5 and the double below it have distinct coverage quantiles
         for argv in (("samplesize-spec", "--m", "2", "--psp", "0.5",
                       "--esp-lb", "0.49999999999999994", "--conf", "0.95"),
                      ("tables", "--out", str(tmp_path), "--psp-list", "0.5",
@@ -1210,7 +1221,8 @@ class TestTables:
             code, out, err = run(capsys, *argv)
             assert code == EXIT_INFEASIBLE
             assert out == ""
-            assert "coverage quantile is not below the target's" in err
+            assert "no sample size up to 10000000" in err
+        assert not any(tmp_path.iterdir())
 
     def test_unwritable_output_exits_73(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
@@ -1285,6 +1297,18 @@ class TestFigureData:
         at1 = next(r for r in rows if r[0] == 1.0)
         assert at1[1] == pytest.approx(6.643726269, abs=1e-8)
         assert at1[2] == pytest.approx(0.8074304194, abs=1e-9)
+
+    @pytest.mark.parametrize("figure", ["4a", "4b"])
+    def test_ratio_density_beyond_precision_exits_64(self, capsys, tmp_path, figure):
+        # at nu = 1e150 the log density's terms cancel to rounding noise, which overflows
+        n = "1" + "0" * 150
+        code, out, err = run(capsys, "figure-data", "--figure", figure, "--n", n,
+                             "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"repeatkit: usage error: the density of W at nu={10**150} "
+                       "is lost to rounding\n")
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_figure_id(self, capsys, tmp_path):
         code, _, err = run(capsys, "figure-data", "--figure", "9",

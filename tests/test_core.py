@@ -49,13 +49,13 @@ class TestSymmetricCoverageQuantile:
 
     @pytest.mark.parametrize("p", [1e-17, 1e-200, 5e-324])
     def test_tiny_coverage_stays_positive(self, p):
-        # 1 - (1 - p)/2 rounds to 0.5 here; z = sqrt(2) erfinv(p) ~ p sqrt(pi/2)
+        # z = sqrt(2) erfinv(p) ~ p sqrt(pi/2), where 1 - (1 - p)/2 would round to 0.5
         z = symmetric_coverage_quantile(p)
         assert z > 0.0
         assert z == pytest.approx(math.sqrt(2.0) * special.erfinv(p), rel=1e-15)
 
     def test_coverage_next_to_one_stays_finite(self):
-        # 1 - (1 - p)/2 rounds to 1 here
+        # where 1 - (1 - p)/2 would round to 1
         p = 0.9999999999999999
         assert symmetric_coverage_quantile(p) == pytest.approx(
             stats.norm.isf((1.0 - p) / 2.0), rel=1e-14)
@@ -283,6 +283,13 @@ class TestRatioDensities:
     def test_exact_density_vanishes_where_square_overflows(self, w):
         assert ratio_density_exact(w, 5) == 0.0
         assert _ratio_log_density(w, 5) == -math.inf
+
+    def test_exact_density_lost_to_rounding_is_a_domain_error(self):
+        # the true density at w = 1 is about sqrt(nu / pi); the log form's
+        # terms of order 1e152 cancel to noise that overflows
+        with pytest.raises(DomainError) as e:
+            ratio_density_exact(1.0, 2 * 10**150)
+        assert str(e.value) == f"the density of W at nu={2 * 10**150} is lost to rounding"
 
     def test_exact_density_rejects_nonpositive_w(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
 
 from repeatkit import core
-from repeatkit.core import _normal_quantile_above, ratio_cdf
+from repeatkit.core import ratio_cdf
 from repeatkit.errors import DomainError, InfeasibleError
 from repeatkit.numerics import min_integer_satisfying, normal_quantile
 from repeatkit.sensitivity import (
@@ -409,7 +409,7 @@ def _scalar_search(m, delta, p_sp, lb, conf, method, approximation):
     # The exact n as it was found before the shared window search:
     # min_integer_satisfying over ratio_cdf at the cap u from the hint.
     u, z, d = sensitivity_module._ratio_cap(EffectSize(delta), p_sp, lb, approximation)
-    denom = _normal_quantile_above(lb) + d - z
+    denom = -normal_quantile(lb) + d - z
     raw = (normal_quantile(conf) * z / denom) ** 2 / (2.0 * (m - 1)) if denom > 0.0 else None
     try:
         return min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= conf,

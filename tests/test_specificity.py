@@ -16,7 +16,7 @@ from scipy import integrate as sci_integrate, stats
 
 from repeatkit import core
 from repeatkit.cli import TABLE_CONF_VALUES, TABLE_LB_VALUES, TABLE_M_VALUES, TABLE_PSP_VALUES
-from repeatkit.core import _normal_quantile_above, ratio_cdf, symmetric_coverage_quantile
+from repeatkit.core import ratio_cdf, symmetric_coverage_quantile
 from repeatkit.errors import DomainError, InfeasibleError
 from repeatkit.numerics import MAX_SUBJECTS, min_integer_satisfying, normal_quantile
 from repeatkit.specificity import (
@@ -346,7 +346,7 @@ def _scalar_search(m, p_sp, lb, conf):
         return None
     z = symmetric_coverage_quantile(p_sp)
     z_lb = symmetric_coverage_quantile(lb)
-    raw = (_normal_quantile_above(conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
+    raw = (-normal_quantile(conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
     ratio = z_lb / z
     try:
         return min_integer_satisfying(
@@ -469,12 +469,25 @@ class TestSampleSizeGrid:
         assert str(grid.value) == str(scalar.value)
 
     def test_shared_coverage_quantile_is_infeasible(self):
-        lb = math.nextafter(0.5, 0.0)
+        # adjacent doubles whose coverage quantiles round to one double
+        p_sp = 0.6369616873214544
+        lb = math.nextafter(p_sp, 0.0)
+        assert symmetric_coverage_quantile(lb) == symmetric_coverage_quantile(p_sp)
         with pytest.raises(InfeasibleError, match="coverage quantile is not below"):
-            sample_size_specificity_grid([2], [0.5], [lb], [0.95])
+            sample_size_specificity_grid([2], [p_sp], [lb], [0.95])
         for method in MethodChoice:
             with pytest.raises(InfeasibleError, match="coverage quantile is not below"):
-                sample_size_specificity(2, 0.5, lb, 0.95, method)
+                sample_size_specificity(2, p_sp, lb, 0.95, method)
+
+    def test_separated_adjacent_doubles_need_more_than_max_subjects(self):
+        # the coverage quantiles of 0.5 and the double below it differ in the
+        # last bit, so the floor is separated but out of reach
+        lb = math.nextafter(0.5, 0.0)
+        assert symmetric_coverage_quantile(lb) < symmetric_coverage_quantile(0.5)
+        with pytest.raises(InfeasibleError, match="no sample size up to 10000000"):
+            sample_size_specificity_grid([2], [0.5], [lb], [0.95])
+        with pytest.raises(InfeasibleError, match="no sample size up to 10000000"):
+            sample_size_specificity(2, 0.5, lb, 0.95, MethodChoice.EXACT)
 
     def test_every_value_is_checked_once_even_in_blank_grids(self):
         # 1.5 blanks every cell, and is still rejected
