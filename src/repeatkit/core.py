@@ -4,8 +4,9 @@ A study measures ``n`` subjects ``m_i >= 2`` times each under identical
 conditions.  Within-subject measurements scatter around the subject's true
 value with standard deviation ``w_SD``.  This module estimates ``w_SD`` from
 such data, builds the repeatability coefficient (the half-width of the
-symmetric interval that a no-change measurement pair should fall into), and
-classifies longitudinal pairs as changed / unchanged.
+symmetric interval that a no-change measurement pair should fall into),
+classifies longitudinal pairs as changed / unchanged, and holds the rule's
+band law, one ``erf`` form behind every effective specificity and sensitivity.
 
 It also carries the sampling law of the normalized estimation error
 ``W = wsd_hat / w_SD``: with ``nu = sum_i (m_i - 1)`` pooled degrees of
@@ -28,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammainc, gammainccinv, gammaincinv, gammaln
+from scipy.special import erf, erfinv, gammainc, gammainccinv, gammaincinv, gammaln
 
 from .errors import DataValidationError, DomainError, InfeasibleError
 from .numerics import (
@@ -318,6 +319,18 @@ def _band_edge(z: float, w):
     return z * w
 
 
+def _inside_band(y, d=0.0):
+    """Mass of ``N(d, 1)`` inside ``[-y, y]``, the change rule's one band law.
+
+    ``(erf((y - d)/sqrt 2) + erf((y + d)/sqrt 2)) / 2``, exactly
+    ``erf(y / sqrt 2)`` at ``d = 0``.  At ``y = z W`` it is the effective
+    specificity, and one minus it at ``d = delta / sqrt 2`` the two-sided
+    sensitivity.  A float ``y`` gives a ``float``, an ndarray the same floats.
+    """
+    inside = 0.5 * (erf((y - d) / _SQRT2) + erf((y + d) / _SQRT2))
+    return inside if isinstance(y, np.ndarray) else float(inside)
+
+
 def _ratio_log_density(w: float, nu: int) -> float:
     """Log density of ``W`` at ``w > 0``; -inf where ``nu w^2 / 2`` overflows.
 
@@ -423,8 +436,8 @@ def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
 
     The batch form of :func:`_search` for the exact method at ``dof = 1``,
     behind the ``tables`` grid, which takes ``n = ceil(nu / (m - 1))`` for
-    each ``m``.  ``P[W >= w]`` is ``1 - gammainc`` with the operations of
-    :func:`ratio_cdf` in its order, so the floats are its own.  All
+    each ``m``.  It tests ``gammainc <= 1 - p_conf``, with the operations
+    of :func:`ratio_cdf` in its order, so the floats are its own.  All
     arguments but ``limit`` are checked 1-d arrays of one length.  Each cell
     evaluates ``_WINDOW`` consecutive ``nu`` next to its hint ``ceil(raw)``
     (clipped to ``[1, limit]``), all cells in one ``gammainc`` call.  A
@@ -438,7 +451,7 @@ def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
     last = min(limit, 2**53) - _WINDOW + 1
     start = np.minimum(np.maximum(np.ceil(raw - _BELOW), 1.0), last)
     nu = start[:, None] + _STEPS
-    holds = 1.0 - gammainc(0.5 * nu, 0.5 * (nu * w[:, None] * w[:, None])) >= p_conf[:, None]
+    holds = gammainc(0.5 * nu, 0.5 * (nu * w[:, None] * w[:, None])) <= 1.0 - p_conf[:, None]
     edge = _EDGE[holds @ _BITS]
     sizes = (start + edge).astype(np.int64)
     if limit > np.iinfo(np.int64).max:
@@ -455,7 +468,8 @@ def _search(w: float, dof: int, p_conf: float, raw: float, upper: bool,
 
     The confidence is ``P[W >= w]`` if ``upper``, else ``P[W <= w]``, by
     :func:`ratio_cdf` itself at ``nu = n * dof`` for the integer
-    ``dof = m - 1``; at ``dof = 1``, ``n`` is ``nu``.
+    ``dof = m - 1``; at ``dof = 1``, ``n`` is ``nu``.  ``P[W >= w] >= p_conf``
+    is tested as ``P[W <= w] <= 1 - p_conf``, exact for ``p_conf >= 0.5``.
     :func:`min_integer_satisfying` brackets it from the hint ``ceil(raw)``
     (clipped to ``[1, limit]``); every exact one-design sample size is
     this search.
@@ -464,7 +478,7 @@ def _search(w: float, dof: int, p_conf: float, raw: float, upper: bool,
 
     def holds(n):
         cdf = ratio_cdf(w, n * dof, method)
-        return (1.0 - cdf if upper else cdf) >= p_conf
+        return cdf <= 1.0 - p_conf if upper else cdf >= p_conf
 
     try:
         return min_integer_satisfying(holds, hint, limit)

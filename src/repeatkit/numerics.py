@@ -5,13 +5,13 @@ name the argument (:func:`check_integer` for counts, ``int`` or numpy
 integers up to the largest double but never bools or floats;
 :func:`check_real` for finite reals, never bools; :func:`check_probability`,
 which is :func:`check_real` plus the open interval (0, 1)), the standard
-normal CDF/quantile pair, and the monotone integer search.  The normal
-pair delegates to ``scipy.special`` (``erfc``, ``ndtri``); the CDF is
-defined at ±inf and rejects NaN.  Both also accept numpy arrays, which the
-simulation transforms in bulk.  The law of W, and the searches over it
-behind every exact sample size, live in :mod:`repeatkit.core`; the integer
-search here is each one-design search, and settles the grid cells that a
-window leaves open.
+normal CDF/quantile pair, and the monotone integer search.  The CDF is
+``math.erfc`` on one float, defined at ±inf and rejecting NaN; only the
+quantile, ``scipy.special.ndtri``, takes the arrays that the simulation
+transforms in bulk.  The change rule's band law, the law of W and the
+searches over it behind every exact sample size live in
+:mod:`repeatkit.core`; the integer search here is each one-design search,
+and settles the grid cells that a window leaves open.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc as _erfc_arr, ndtri
+from scipy.special import ndtri
 
 from .errors import DomainError, InfeasibleError
 
@@ -88,24 +88,12 @@ def check_integer(value, name: str, minimum: int = 1) -> int:
 # standard normal distribution
 # ---------------------------------------------------------------------------
 
-def normal_cdf(x):
-    """Standard normal CDF ``Φ(x)``.
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF ``Φ(x)`` of one float.
 
-    Parameters
-    ----------
-    x : float or ndarray
-        Evaluation point(s); ±inf give 1 and 0, NaN is rejected.
-
-    Returns
-    -------
-    float or ndarray
-        ``Φ(x)`` in [0, 1], computed as ``erfc(-x/√2)/2`` which keeps full
-        relative precision in the lower tail.
+    ``erfc(-x/√2)/2`` in [0, 1], which keeps full relative precision in the
+    lower tail; ±inf give 1 and 0, NaN is rejected.
     """
-    if isinstance(x, np.ndarray):
-        if np.isnan(x).any():
-            raise DomainError("normal_cdf requires input that is not NaN")
-        return 0.5 * _erfc_arr(-x / _SQRT2)
     x = float(x)
     if math.isnan(x):
         raise DomainError(f"normal_cdf requires x that is not NaN, got {x!r}")

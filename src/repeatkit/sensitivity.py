@@ -23,13 +23,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import nctdtr
+import numpy as np
+from scipy.special import erfc, nctdtr
 
 from .errors import DomainError, InfeasibleError
 from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
+    _inside_band,
     _search,
     ratio_cdf,
     ratio_quantile,
@@ -113,17 +115,18 @@ def _as_effect(delta) -> EffectSize:
 
 def _p_ese_raw(y, d, approximation: SensitivityApproximation):
     # detection probability when the band edge sits at y (in difference-SD
-    # units) and the true shift at d = delta / sqrt(2); at d = 0 the full
-    # form is the bitwise complement of the specificity expression.
+    # units) and the true shift at d = delta / sqrt(2), one-sided the mass
+    # above y alone; at d = 0 the full form is the complement of the specificity
     if approximation is SensitivityApproximation.FULL_TWO_SIDED:
-        return 1.0 - (normal_cdf(y - d) - normal_cdf(-y - d))
-    return 1.0 - normal_cdf(y - d)
+        return 1.0 - _inside_band(y, d)
+    above = 0.5 * erfc((y - d) / _SQRT2)
+    return above if isinstance(y, np.ndarray) else float(above)
 
 
 def sensitivity(delta, p_sp: float = 0.95) -> float:
     """Detection probability of a true shift ``delta`` under a perfect threshold.
 
-    ``1 - [Phi(z - delta/sqrt(2)) - Phi(-z - delta/sqrt(2))]``: the chance
+    One minus the mass of ``N(delta/sqrt(2), 1)`` inside ``[-z, z]``: the chance
     the measured difference leaves the no-change band when the threshold
     uses the true within-subject SD.  Equals ``1 - p_sp`` at ``delta = 0``
     and increases to 1 with ``|delta|``.
@@ -153,7 +156,8 @@ def effective_sensitivity_given_ratio(
     float or ndarray
         Decreasing in ``w``: an overestimated spread widens the band and
         misses changes.  At ``w = 1`` the full form equals
-        :func:`sensitivity` exactly.
+        :func:`sensitivity` exactly.  A float ``w`` gives a ``float``, and
+        an array the same floats elementwise.
     """
     approximation = _as_choice(SensitivityApproximation, approximation, "approximation")
     eff = _as_effect(delta)
@@ -171,9 +175,10 @@ def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
     the noncentral t CDF ``F_nct(t; nu, d)`` (``scipy.special.nctdtr``),
     since ``Phi(t W - d) = P[(Z + d) / W <= t]``.  Asymptotically, the
     Gaussian identity of :func:`expected_effective_specificity` gives
-    ``Phi((t - d) / s)`` with ``s = sqrt(1 + z^2 / (2 nu))``.  The
-    difference from :func:`sensitivity` is the power bias of the plug-in
-    rule.
+    ``Phi((t - d) / s)`` with ``s = sqrt(1 + z^2 / (2 nu))``, so the mean
+    is one minus the mass of ``N(d / s, 1)`` inside ``[-z / s, z / s]``.
+    The difference from :func:`sensitivity` is the power bias of the
+    plug-in rule.
     """
     nu = check_integer(nu, "nu")
     method = _as_choice(MethodChoice, method, "method")
@@ -181,13 +186,9 @@ def expected_effective_sensitivity(nu: int, delta, p_sp: float = 0.95,
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
     if method is MethodChoice.EXACT:
-        near = _nct_cdf(nu, d, z)
-        far = _nct_cdf(nu, d, -z)
-    else:
-        s = math.sqrt(1.0 + z * z / (2.0 * nu))
-        near = normal_cdf((z - d) / s)
-        far = normal_cdf((-z - d) / s)
-    return 1.0 - near + far
+        return 1.0 - _nct_cdf(nu, d, z) + _nct_cdf(nu, d, -z)
+    s = math.sqrt(1.0 + z * z / (2.0 * nu))
+    return 1.0 - _inside_band(z / s, d / s)
 
 
 def _nct_cdf(nu: int, d: float, t: float) -> float:

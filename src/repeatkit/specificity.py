@@ -38,6 +38,7 @@ from .core import (
     MethodChoice,
     _as_choice,
     _band_edge,
+    _inside_band,
     _min_subjects,
     _ratio_log_density,
     _ratio_quantile_above,
@@ -49,7 +50,6 @@ from .numerics import (
     MAX_SUBJECTS,
     check_integer,
     check_probability,
-    normal_cdf,
     normal_quantile,
 )
 
@@ -81,13 +81,6 @@ class SampleSizeResult:
     raw: float | None = None
 
 
-def _p_esp_raw(y):
-    # specificity of a symmetric band with half-width quantile y; the
-    # two-term form keeps the complement identity with the zero-effect
-    # sensitivity bitwise exact and is accurate when the result is tiny.
-    return normal_cdf(y) - normal_cdf(-y)
-
-
 def effective_specificity_given_ratio(w, p_sp: float = 0.95):
     """Realized specificity of the plug-in change rule at ratio ``w``.
 
@@ -101,18 +94,20 @@ def effective_specificity_given_ratio(w, p_sp: float = 0.95):
     Returns
     -------
     float or ndarray
-        ``1 - 2 (1 - Phi(z w))`` with ``z`` the symmetric coverage quantile
-        of ``p_sp``; strictly increasing in ``w``, equals ``p_sp`` at
-        ``w = 1``.
+        ``erf(z w / sqrt 2)``, the mass of a standard normal inside the
+        band ``[-z w, z w]``, with ``z`` the symmetric coverage quantile of
+        ``p_sp``; strictly increasing in ``w``, equals ``p_sp`` at
+        ``w = 1``.  A float ``w`` gives a ``float``, and an array the same
+        floats elementwise.
     """
-    return _p_esp_raw(_band_edge(symmetric_coverage_quantile(p_sp), w))
+    return _inside_band(_band_edge(symmetric_coverage_quantile(p_sp), w))
 
 
 def effective_specificity_pdf(p: float, nu: int, p_sp: float = 0.95) -> float:
     """Density of the effective specificity at ``p`` for ``nu`` degrees of freedom.
 
     Change of variables through the strictly increasing map
-    ``w -> 1 - 2(1 - Phi(z w))``: the chi-square density of ``W`` at the
+    ``w -> erf(z w / sqrt 2)``: the chi-square density of ``W`` at the
     preimage, divided by the map's slope ``2 z phi(z w)``.  Evaluated in log
     space so the far tails (where both factors underflow) stay finite.
     """
@@ -132,18 +127,18 @@ def expected_effective_specificity(nu: int, p_sp: float = 0.95,
     ``W = sqrt(chi2_nu / nu)`` is independent of a standard normal ``Z``
     and ``E[Phi(z W)] = P[Z / W <= z]`` is Student's t CDF ``T_nu(z)``
     (``scipy.special.stdtr``).  Asymptotically, ``W = 1 + Z' / sqrt(2 nu)`` and the
-    Gaussian identity ``E[Phi(a + b Z')] = Phi(a / sqrt(1 + b^2))`` gives
-    ``Phi(z / sqrt(1 + z^2 / (2 nu)))``.  The shortfall ``result - p_sp``
-    is the bias introduced by estimating the within-subject SD.
+    Gaussian identity ``E[Phi(a + b Z')] = Phi(a / sqrt(1 + b^2))`` makes
+    the mean the band's mass at the narrower edge ``z / s``, with
+    ``s = sqrt(1 + z^2 / (2 nu))``: ``erf(z / (s sqrt 2))``.  The
+    shortfall ``result - p_sp`` is the bias introduced by estimating the
+    within-subject SD.
     """
     nu = check_integer(nu, "nu")
     method = _as_choice(MethodChoice, method, "method")
     z = symmetric_coverage_quantile(p_sp)
     if method is MethodChoice.EXACT:
-        mean_phi = float(stdtr(nu, z))
-    else:
-        mean_phi = normal_cdf(z / math.sqrt(1.0 + z * z / (2.0 * nu)))
-    return 2.0 * mean_phi - 1.0
+        return 2.0 * float(stdtr(nu, z)) - 1.0
+    return _inside_band(z / math.sqrt(1.0 + z * z / (2.0 * nu)))
 
 
 def specificity_shortfall(nu: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
@@ -179,7 +174,7 @@ def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
     """
     p_conf = check_probability(p_conf, "p_conf")
     z = symmetric_coverage_quantile(p_sp)
-    return _p_esp_raw(z * _ratio_quantile_above(p_conf, nu, method))
+    return _inside_band(z * _ratio_quantile_above(p_conf, nu, method))
 
 
 def _warn_low_confidence(p_conf: float) -> None:

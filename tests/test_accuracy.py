@@ -1,4 +1,4 @@
-"""Accuracy contract of the quantiles against mpmath at 50 digits.
+"""Accuracy contract of the quantiles and the band law against mpmath at 50 digits.
 
 Each quantile gets log-uniform draws toward 0 (down to 1e-300) and toward 1
 (up to 1 - 1e-16), and is compared with the exact value at the double it
@@ -7,13 +7,25 @@ coverage quantile and the normal quantile in both tails), 1e-13 for the
 quantiles of ``W`` by either method.  The asymptotic quantile of ``W`` is
 the sum ``1 + x`` with ``x = +-normal_quantile(p) / sqrt(2 nu)``, so its
 error is bounded relative to ``1 + |x|``, the size of its terms; where the
-sum does not cancel that is ``w`` itself.  The draws are derandomized, so
-every run checks the same points.
+sum does not cancel that is ``w`` itself.
+
+The band law is the mass of ``N(d, 1)`` inside ``[-y, y]``, with ``y = z w``
+(or ``z / s`` for the asymptotic means) and ``d = delta / sqrt 2``.  Its
+specificity forms are ``erf(y / sqrt 2)``, whose relative condition number
+in ``y`` is at most 1, so they are held to 1e-14 relative.  The one-sided
+sensitivity ``erfc(a) / 2`` with ``a = (y - d) / sqrt 2`` turns a relative
+error ``e`` in ``a`` into about ``2 a**2 e``, so it is held to
+``1e-14 (1 + 2 a**2)`` relative.  The two-sided forms are ``1 - inside``,
+which cannot resolve less than one step of the doubles below 1: they are
+held to 1e-15 absolute, plus the rounding of the band edges, a few ulps of
+``y + d`` that the normal density at the edges passes on.  The draws are
+derandomized, so every run checks the same points.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,9 +37,24 @@ from repeatkit.core import (
 )
 from repeatkit.errors import DomainError
 from repeatkit.numerics import normal_quantile
+from repeatkit.sensitivity import (
+    SensitivityApproximation,
+    effective_sensitivity_given_ratio,
+    expected_effective_sensitivity,
+)
+from repeatkit.specificity import (
+    effective_specificity_given_ratio,
+    expected_effective_specificity,
+    specificity_lower_bound,
+)
 
 NORMAL_RTOL = 1e-14
 RATIO_RTOL = 1e-13
+BAND_RTOL = 1e-14
+BAND_ATOL = 1e-15
+
+ONE_SIDED = SensitivityApproximation.ONE_SIDED_EXCEEDANCE
+TWO_SIDED = SensitivityApproximation.FULL_TWO_SIDED
 
 _LARGEST_BELOW_1 = math.nextafter(1.0, 0.0)
 # 10**-e for e from log10(2) to 300, and 1 - 10**-e for e up to 16
@@ -38,6 +65,9 @@ _P = st.one_of(_TOWARD_0, _TOWARD_1)
 # degrees of freedom from 1 to 5e5, log-uniform; the exact quantile of W
 # misses its bound from about 8e5 on (test_exact_ratio_quantile_at_large_nu)
 _NU = st.floats(min_value=0.0, max_value=math.log10(5e5)).map(lambda e: int(10.0 ** e))
+# ratios W from 1e-3 to 10 and effect sizes from 1e-2 to 20, log-uniform
+_W = st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0 ** e)
+_DELTA = st.floats(min_value=-2.0, max_value=math.log10(20.0)).map(lambda e: 10.0 ** e)
 
 _SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
@@ -199,3 +229,111 @@ def test_upper_asymptotic_quantile_names_its_lower_probability():
     assert str(upper.value) == str(lower.value) == (
         "normal approximation places the 0.05 ratio quantile at w=-0.1631 <= 0 "
         "for nu=1; use the exact method")
+
+
+# ---------------------------------------------------------------------------
+# the band law: effective specificity and sensitivity, and their asymptotic means
+# ---------------------------------------------------------------------------
+
+def _coverage_mp(p_sp):
+    return mp.sqrt(2) * mp.erfinv(mp.mpf(p_sp))
+
+
+def _outside_mp(y, d):
+    # 1 minus the mass of N(d, 1) inside [-y, y]
+    return (mp.erfc((y - d) / mp.sqrt(2)) + mp.erfc((y + d) / mp.sqrt(2))) / 2
+
+
+def _outside_tol(y, d):
+    # the step of 1 - inside near 0, and the edges' rounding through the density
+    return BAND_ATOL * (1 + float((y + d) * (mp.npdf(y - d) + mp.npdf(y + d))))
+
+
+@_SETTINGS
+@given(p_sp=_P, w=_W)
+@example(p_sp=1e-300, w=1e-3)
+@example(p_sp=1e-15, w=1.0)
+@example(p_sp=_LARGEST_BELOW_1, w=10.0)
+def test_effective_specificity(p_sp, w):
+    want = mp.erf(_coverage_mp(p_sp) * w / mp.sqrt(2))
+    assert _relative_error(effective_specificity_given_ratio(w, p_sp), want) <= BAND_RTOL
+
+
+@_SETTINGS
+@given(p_sp=_P, w=_W, delta=_DELTA)
+@example(p_sp=0.95, w=10.0, delta=8.2)  # erfc at a = 9.7, about 1e-43
+@example(p_sp=1e-300, w=1e-3, delta=1e-2)
+@example(p_sp=_LARGEST_BELOW_1, w=10.0, delta=20.0)
+def test_one_sided_sensitivity(p_sp, w, delta):
+    a = (_coverage_mp(p_sp) * w - mp.mpf(delta) / mp.sqrt(2)) / mp.sqrt(2)
+    want = mp.erfc(a) / 2
+    if want < 1e-290:
+        return  # where it underflows to subnormals or 0
+    got = effective_sensitivity_given_ratio(w, delta, p_sp, ONE_SIDED)
+    assert _relative_error(got, want) <= BAND_RTOL * (1 + 2 * float(a) ** 2)
+
+
+@_SETTINGS
+@given(p_sp=_P, w=_W, delta=_DELTA)
+@example(p_sp=1e-300, w=1e-3, delta=1e-2)
+@example(p_sp=_LARGEST_BELOW_1, w=10.0, delta=20.0)
+@example(p_sp=0.95, w=7.2, delta=20.0)  # the edge 14.11 next to the shift 14.14
+def test_two_sided_sensitivity(p_sp, w, delta):
+    y, d = _coverage_mp(p_sp) * w, mp.mpf(delta) / mp.sqrt(2)
+    got = effective_sensitivity_given_ratio(w, delta, p_sp, TWO_SIDED)
+    assert abs(mp.mpf(got) - _outside_mp(y, d)) <= _outside_tol(y, d)
+
+
+def _asymptotic_edge_mp(p_sp, nu):
+    # z / s with s = sqrt(1 + z^2 / (2 nu)), the band edge of the asymptotic means
+    z = _coverage_mp(p_sp)
+    return z / mp.sqrt(1 + z * z / (2 * nu)), mp.sqrt(1 + z * z / (2 * nu))
+
+
+@_SETTINGS
+@given(p_sp=_P, nu=_NU)
+@example(p_sp=1e-300, nu=1)
+@example(p_sp=_LARGEST_BELOW_1, nu=5 * 10**5)
+def test_asymptotic_expected_specificity(p_sp, nu):
+    x, _ = _asymptotic_edge_mp(p_sp, nu)
+    got = expected_effective_specificity(nu, p_sp, MethodChoice.ASYMPTOTIC)
+    assert _relative_error(got, mp.erf(x / mp.sqrt(2))) <= BAND_RTOL
+
+
+@_SETTINGS
+@given(p_sp=_P, nu=_NU, delta=_DELTA)
+@example(p_sp=1e-300, nu=1, delta=1e-2)
+@example(p_sp=_LARGEST_BELOW_1, nu=5 * 10**5, delta=20.0)
+def test_asymptotic_expected_sensitivity(p_sp, nu, delta):
+    x, s = _asymptotic_edge_mp(p_sp, nu)
+    e = mp.mpf(delta) / mp.sqrt(2) / s
+    got = expected_effective_sensitivity(nu, delta, p_sp, MethodChoice.ASYMPTOTIC)
+    assert abs(mp.mpf(got) - _outside_mp(x, e)) <= _outside_tol(x, e)
+
+
+def test_specificity_lower_bound_keeps_a_tiny_floor():
+    # the floor is erf(z w / sqrt 2) at the upper quantile w of W, nearly
+    # proportional to z w here, so its error is that of the quantile; as a
+    # difference of two normal CDFs near 1/2 it read 1.665e-16
+    p_sp, p_conf, nu = 1.609659605122804e-15, 0.9999999999999901, 14
+    w = _ratio_quantile_mp(p_conf, nu, True, _ratio_quantile_above(p_conf, nu))
+    want = mp.erf(_coverage_mp(p_sp) * w / mp.sqrt(2))
+    assert 1.1199e-16 < want < 1.1200e-16
+    assert _relative_error(specificity_lower_bound(nu, p_sp, p_conf), want) <= RATIO_RTOL
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(ws=st.lists(_W, min_size=1, max_size=50), p_sp=_P, delta=_DELTA)
+@example(ws=[1e-3, 0.5, 1.0, 10.0], p_sp=0.95, delta=4.0)
+def test_floats_and_arrays_give_the_same_floats(ws, p_sp, delta):
+    # the simulation maps its ratios as an array and the reports map one
+    # float, so both must be the same floats, bit for bit
+    maps = [lambda w: effective_specificity_given_ratio(w, p_sp)] + [
+        lambda w, a=a: effective_sensitivity_given_ratio(w, delta, p_sp, a)
+        for a in SensitivityApproximation]
+    for f in maps:
+        one = [f(w) for w in ws]
+        assert all(type(v) is float for v in one)
+        many = f(np.array(ws))
+        assert isinstance(many, np.ndarray) and many.shape == (len(ws),)
+        assert many.view(np.int64).tolist() == np.array(one).view(np.int64).tolist()

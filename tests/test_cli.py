@@ -1194,6 +1194,21 @@ class TestTables:
         assert err == f"repeatkit: usage error: {message}\n"
         assert not out.exists()
 
+    def test_integer_list_rejects_a_word(self, capsys, tmp_path):
+        code, stdout, err = run(capsys, "tables", "--out", str(tmp_path), "--m-list", "2,x")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err == ("repeatkit: usage error: argument --m-list: not a comma-separated "
+                       "integer list: '2,x'\n")
+
+    def test_confidence_within_1e13_of_one(self, capsys, tmp_path):
+        # mpmath's least n (tests/test_specificity.py); 1 - P[W < w] gave 4718
+        run_json(capsys, "tables", "--out", str(tmp_path), "--m-list", "2",
+                 "--conf-list", "0.9999999999999957", "--esp-lb-list", "0.9999999999914251",
+                 "--psp-list", "0.9999999999998764")
+        rows = list(csv.reader((tmp_path / "samplesize_spec_m2.csv").open(newline="")))
+        assert rows[1] == ["2", "1.000", "1.000", "4720"]
+
     def test_longest_file_name_is_written(self, capsys, tmp_path):
         m = 10**233
         payload = run_json(capsys, "tables", "--out", str(tmp_path), "--m-list", str(m),
@@ -1357,6 +1372,12 @@ class TestSimulate:
         warnings = json.loads(out)["warnings"]
         assert len(warnings) == 1
         assert "REPEATKIT_THREADS='x'" in warnings[0]
+
+    def test_table_format_shows_the_longitudinal_flag(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--n", "10", "--replicates", "200",
+                           "--longitudinal", "--format", "table")
+        assert code == EXIT_OK
+        assert "  longitudinal = true\n" in out
 
     def test_distribution_summary_rows(self, capsys):
         payload = run_json(capsys, "simulate", "--n", "10", "--replicates",

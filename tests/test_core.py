@@ -102,6 +102,12 @@ class TestTestRetestData:
         with pytest.raises(DataValidationError):
             RetestData(())
 
+    @pytest.mark.parametrize("entry", [("lonely",), 5, ("a", (1.0, 2.0), "extra")])
+    def test_malformed_entry_rejected(self, entry):
+        with pytest.raises(DataValidationError,
+                           match=r"^each subject entry must be a \(subject_id, measurements\) pair$"):
+            RetestData((("ok", (1.0, 2.0)), entry))
+
 
 class TestEstimateWsd:
     def test_three_subject_fixture(self):
@@ -111,6 +117,14 @@ class TestEstimateWsd:
             est = estimate_wsd(data)
         assert est.nu == 3
         assert est.wsd_hat == pytest.approx(math.sqrt(10.0 / 3.0), rel=1e-15)
+
+    def test_plain_list_of_pairs(self):
+        pairs = [("a", [0.0, 2.0]), ("b", [5.0, 5.0]), ("c", [10.0, 14.0])]
+        with pytest.warns(UserWarning):
+            est = estimate_wsd(pairs)
+        with pytest.warns(UserWarning):
+            assert est == estimate_wsd(RetestData(tuple(pairs)))
+        assert est.nu == 3
 
     def test_unequal_replicate_counts_pool(self):
         # subject A: 3 reps (0, 3, 6), centered SS = 18, 2 dof

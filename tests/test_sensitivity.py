@@ -266,6 +266,10 @@ class TestSensitivityConfidence:
 
 
 class TestSensitivityLowerBound:
+    def test_zero_effect_rejected(self):
+        with pytest.raises(DomainError, match="requires a nonzero effect size delta"):
+            sensitivity_lower_bound(10, 0.0)
+
     def test_frozen_value(self):
         got = sensitivity_lower_bound(139, 4.0, 0.95, 0.95, MethodChoice.EXACT)
         assert got == pytest.approx(0.7507341522635348, abs=1e-13)
@@ -326,6 +330,10 @@ class TestSensitivityLowerBound:
 
 
 class TestSampleSizeSensitivity:
+    def test_zero_effect_rejected(self):
+        with pytest.raises(DomainError, match="requires a nonzero effect size delta"):
+            sample_size_sensitivity(2, 0.0)
+
     def test_reference_design(self):
         asym = sample_size_sensitivity(2, 4.0, 0.95, 0.75, 0.95,
                                        MethodChoice.ASYMPTOTIC)

@@ -34,6 +34,11 @@ from repeatkit.specificity import (
 
 Z_95 = 1.9599639845400536
 
+# (p_sp, p_esp_lb, p_conf) of a cell whose confidence is within 1e-13 of 1,
+# where 1 - P[W < w] rounds: it gave n = 4718 at m = 2, and mpmath's least n
+# is 4720 (TestSampleSizeSpecificity.test_confidence_within_1e13_of_one)
+NEAR_ONE = (0.9999999999998764, 0.9999999999914251, 0.9999999999999957)
+
 
 class TestEffectiveSpecificityGivenRatio:
     def test_at_unit_ratio_recovers_target(self):
@@ -62,6 +67,8 @@ class TestEffectiveSpecificityGivenRatio:
             effective_specificity_given_ratio(0.0, 0.95)
         with pytest.raises(DomainError):
             effective_specificity_given_ratio(-1.0, 0.95)
+        with pytest.raises(DomainError, match="^ratio w must be finite and > 0 elementwise$"):
+            effective_specificity_given_ratio(np.array([1.0, 0.0]), 0.95)
 
     @pytest.mark.parametrize("w", [1e308, np.array([1e308])])
     def test_overflowing_band_edge_is_certain(self, w):
@@ -290,6 +297,17 @@ class TestSampleSizeSpecificity:
         assert conf_at(res.n) >= 0.95
         assert conf_at(res.n - 1) < 0.95
 
+    def test_confidence_within_1e13_of_one(self):
+        p_sp, lb, conf = NEAR_ONE
+        w = symmetric_coverage_quantile(lb) / symmetric_coverage_quantile(p_sp)
+        with mp.workdps(50):
+            def confidence(nu):
+                # P[W >= w], the upper regularized gamma at (nu/2, nu w^2 / 2)
+                a = mp.mpf(nu) / 2
+                return mp.gammainc(a, a * mp.mpf(w) ** 2, mp.inf, regularized=True)
+            assert confidence(4719) < conf <= confidence(4720)
+        assert sample_size_specificity(2, p_sp, lb, conf).n == 4720
+
     def test_infeasible_names_values(self):
         with pytest.raises(InfeasibleError, match="0.96"):
             sample_size_specificity(2, 0.95, 0.96, 0.95, MethodChoice.EXACT)
@@ -350,7 +368,7 @@ def _scalar_search(m, p_sp, lb, conf):
     ratio = z_lb / z
     try:
         return min_integer_satisfying(
-            lambda n: 1.0 - ratio_cdf(ratio, n * (m - 1)) >= conf,
+            lambda n: ratio_cdf(ratio, n * (m - 1)) <= 1.0 - conf,
             start_hint=max(1, math.ceil(raw)))
     except InfeasibleError:
         return "infeasible"
@@ -419,6 +437,16 @@ class TestSampleSizeGrid:
     @pytest.mark.parametrize("seed", range(20))
     def test_plan_shaped_grid_matches_scalar_search(self, seed):
         _assert_grid_matches_scalar_search(*_plan_shaped_grid(seed))
+
+    def test_confidence_within_1e13_of_one(self):
+        # the window and its fallback test P[W < w] <= 1 - p_conf, as one design does
+        p_sp, lb, conf = NEAR_ONE
+        assert sample_size_specificity_grid([2, 3], [p_sp], [lb], [conf])[:, 0, 0, 0].tolist() \
+            == [4720, 2360]
+        z, z_lb = symmetric_coverage_quantile(p_sp), symmetric_coverage_quantile(lb)
+        raw = np.array([1.0, 4719.0, 1e9])
+        assert core._min_subjects(np.full(3, z_lb / z), np.full(3, conf), raw,
+                                  MAX_SUBJECTS).tolist() == [4720] * 3
 
     def test_unsettled_window_falls_back_to_the_search(self, monkeypatch):
         # the asymptotic hint of nu is 240 and the exact nu 247, past the window
