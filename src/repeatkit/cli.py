@@ -204,18 +204,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _list_of(kind, noun: str):
+    """Flag type for a comma-separated list of ``kind``; blank items are skipped."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
+    return parse
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+_float_list = _list_of(float, "float")
+_int_list = _list_of(int, "integer")
 
 
 def _add_format_flag(sub):
@@ -231,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repeatkit {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("samplesize-spec", parents=[], add_help=True,
-                        help="sample size for an effective-specificity floor")
+    p = subs.add_parser("samplesize-spec", help="sample size for an effective-specificity floor")
     p.add_argument("--m", type=int, default=2, help="replicates per subject (default 2)")
     p.add_argument("--psp", type=float, default=0.95, help="target specificity (default 0.95)")
     p.add_argument("--esp-lb", type=float, required=True,

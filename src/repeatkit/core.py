@@ -15,10 +15,10 @@ freedom, and ``W`` is asymptotically normal with mean 1 and variance
 ``1/(2 nu)``.  :class:`MethodChoice` picks one of the two; the density,
 CDF and quantile of ``W`` live here, computed from ``scipy.special``
 directly, and every confidence statement and worst-case bound downstream
-is one call into them.  So is the search behind every exact sample size:
-the smallest design whose confidence ``P[W >= w]`` or ``P[W <= w]``
-reaches a level, bracketed over :func:`ratio_cdf` for one design, or
-settled for a whole grid at once by a window of consecutive ``nu`` per cell.
+is one call into them.  So is the search behind every exact specificity
+sample size: the smallest ``nu`` whose confidence ``P[W >= w]`` reaches a
+level, settled for a whole grid at once by a window of consecutive ``nu``
+per cell, with one design as a one-cell grid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from scipy.special import erf, erfinv, gammainc, gammainccinv, gammaincinv, gamm
 
 from .errors import DataValidationError, DomainError, InfeasibleError
 from .numerics import (
-    MAX_SUBJECTS,
     check_integer,
     check_probability,
     check_real,
@@ -434,16 +433,17 @@ _EDGE[(1 << _WINDOW) - _BITS] = _STEPS
 def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
     """Smallest ``nu`` per cell with ``P[W >= w] >= p_conf``; 0 where none up to ``limit``.
 
-    The batch form of :func:`_search` for the exact method at ``dof = 1``,
-    behind the ``tables`` grid, which takes ``n = ceil(nu / (m - 1))`` for
-    each ``m``.  It tests ``gammainc <= 1 - p_conf``, with the operations
-    of :func:`ratio_cdf` in its order, so the floats are its own.  All
-    arguments but ``limit`` are checked 1-d arrays of one length.  Each cell
-    evaluates ``_WINDOW`` consecutive ``nu`` next to its hint ``ceil(raw)``
-    (clipped to ``[1, limit]``), all cells in one ``gammainc`` call.  A
-    window that is false and then true, or true from ``nu = 1``, settles its
-    cell.  Every other cell goes to :func:`_search` from the same hint.  The
-    result is int64, or Python ints where ``limit`` passes int64's range.
+    Every exact specificity sample size: the ``tables`` grid takes
+    ``n = ceil(nu / (m - 1))`` for each ``m``, and one design is a one-cell
+    grid.  It tests ``P[W <= w] <= 1 - p_conf``, exact for ``p_conf >= 0.5``,
+    with the operations of :func:`ratio_cdf` in its order, so the floats are
+    its own.  All arguments but ``limit`` are checked 1-d arrays of one
+    length.  Each cell evaluates ``_WINDOW`` consecutive ``nu`` next to its
+    hint ``ceil(raw)`` (clipped to ``[1, limit]``), all cells in one
+    ``gammainc`` call.  A window that is false and then true, or true from
+    ``nu = 1``, settles its cell.  :func:`min_integer_satisfying` brackets
+    every other cell over :func:`ratio_cdf` from the same hint.  The result
+    is int64, or Python ints where ``limit`` passes int64's range.
     """
     # ceil(raw) - below, clipped so that a window ends by limit and by 2**53,
     # below which every integer nu is its own double; raw - below is exact
@@ -458,29 +458,10 @@ def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
         sizes = sizes.astype(object)
     # an all-true window settles its cell only where it starts at nu = 1
     for i in np.flatnonzero(edge < (start > 1.0)):
-        sizes[i] = _search(w[i], 1, p_conf[i], raw[i], upper=True, limit=limit)
+        hint = math.ceil(min(max(float(raw[i]), 1.0), limit))
+        try:
+            sizes[i] = min_integer_satisfying(
+                lambda nu, w=w[i], q=p_conf[i]: ratio_cdf(w, nu) <= 1.0 - q, hint, limit)
+        except InfeasibleError:
+            sizes[i] = 0
     return sizes
-
-
-def _search(w: float, dof: int, p_conf: float, raw: float, upper: bool,
-            method: MethodChoice = MethodChoice.EXACT, limit: int = MAX_SUBJECTS) -> int:
-    """Smallest ``n`` whose confidence reaches ``p_conf``; 0 where none up to ``limit``.
-
-    The confidence is ``P[W >= w]`` if ``upper``, else ``P[W <= w]``, by
-    :func:`ratio_cdf` itself at ``nu = n * dof`` for the integer
-    ``dof = m - 1``; at ``dof = 1``, ``n`` is ``nu``.  ``P[W >= w] >= p_conf``
-    is tested as ``P[W <= w] <= 1 - p_conf``, exact for ``p_conf >= 0.5``.
-    :func:`min_integer_satisfying` brackets it from the hint ``ceil(raw)``
-    (clipped to ``[1, limit]``); every exact one-design sample size is
-    this search.
-    """
-    hint = math.ceil(min(max(float(raw), 1.0), limit))
-
-    def holds(n):
-        cdf = ratio_cdf(w, n * dof, method)
-        return cdf <= 1.0 - p_conf if upper else cdf >= p_conf
-
-    try:
-        return min_integer_satisfying(holds, hint, limit)
-    except InfeasibleError:
-        return 0

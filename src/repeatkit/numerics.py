@@ -9,9 +9,9 @@ normal CDF/quantile pair, and the monotone integer search.  The CDF is
 ``math.erfc`` on one float, defined at ±inf and rejecting NaN; only the
 quantile, ``scipy.special.ndtri``, takes the arrays that the simulation
 transforms in bulk.  The change rule's band law, the law of W and the
-searches over it behind every exact sample size live in
-:mod:`repeatkit.core`; the integer search here is each one-design search,
-and settles the grid cells that a window leaves open.
+window search behind every exact specificity sample size live in
+:mod:`repeatkit.core`; the integer search here settles the cells that a
+window leaves open, and is the exact sensitivity sample size's search.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from .core import (
     _as_choice,
     _band_edge,
     _inside_band,
-    _search,
     ratio_cdf,
     ratio_quantile,
     symmetric_coverage_quantile,
@@ -42,6 +41,7 @@ from .numerics import (
     check_integer,
     check_probability,
     check_real,
+    min_integer_satisfying,
     normal_cdf,
     normal_quantile,
 )
@@ -310,8 +310,10 @@ def sample_size_sensitivity(
     asymptotic closed form (one-sided, returns ``raw``), or an integer
     search over :func:`ratio_cdf` at the cap ``u`` of
     :func:`sensitivity_confidence`, found once before the search.  The
-    search brackets the smallest ``n`` with ``P[W <= u] >= p_conf`` from
-    the asymptotic hint, under either method.
+    search is :func:`min_integer_satisfying`, which brackets the smallest
+    ``n`` with ``P[W <= u] >= p_conf`` from the asymptotic hint (clipped to
+    ``[1, MAX_SUBJECTS]``, or 1 where the closed form has no solution),
+    under either method.
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -331,15 +333,19 @@ def sample_size_sensitivity(
     # denom > 0 is guaranteed when the one-sided feasibility check ran; a
     # two-sided query can be feasible with denom <= 0, where the closed
     # form has no solution and the search starts from n = 1.
-    raw = (normal_quantile(p_conf) * z / denom) ** 2 / (2.0 * (m - 1)) \
-        if denom > 0.0 else math.inf
+    if denom > 0.0:
+        raw = (normal_quantile(p_conf) * z / denom) ** 2 / (2.0 * (m - 1))
+        hint = math.ceil(min(max(raw, 1.0), MAX_SUBJECTS))
+    else:
+        raw, hint = math.inf, 1
     if method is MethodChoice.ASYMPTOTIC and \
             approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    n = _search(u, m - 1, p_conf, raw if denom > 0.0 else 1.0, upper=False, method=method)
-    if n == 0:
+    try:
+        n = min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf, hint)
+    except InfeasibleError:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "
-            f"floor {p_ese_lb} at delta={eff.delta:g}")
+            f"floor {p_ese_lb} at delta={eff.delta:g}") from None
     return SampleSizeResult(n=n, raw=None)

@@ -18,10 +18,10 @@ Exact sample sizes come for one design (:func:`sample_size_specificity`)
 or for a whole grid of designs (:func:`sample_size_specificity_grid`, which
 the ``tables`` command prints).  The criterion depends on ``n`` only through
 ``nu = n (m - 1)`` and grows with ``nu``, so both solve the least ``nu`` and
-divide.  One design brackets it from the asymptotic hint over the chi-square
-tail.  The grid checks its values once, takes each value's quantile from the
-scalar kernels, and solves each (confidence, floor, target) cell once, all
-in one batched window search of :mod:`repeatkit.core`.
+divide, both by the one window search of :mod:`repeatkit.core`.  The grid
+checks its values once, takes each value's quantile from the scalar kernels,
+and solves each (confidence, floor, target) cell once, all in one batched
+window; one design is a one-cell window.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .core import (
     _min_subjects,
     _ratio_log_density,
     _ratio_quantile_above,
-    _search,
     ratio_cdf,
     symmetric_coverage_quantile,
 )
@@ -206,9 +205,10 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     the effective specificity stays at or above ``p_esp_lb`` with
     probability at least ``p_conf``.  The asymptotic method returns the
     closed-form real solution (also in ``raw``) rounded up.  The exact
-    method brackets the smallest qualifying ``nu`` from the asymptotic
-    value over the chi-square tail at the fixed ratio ``z_lb / z``, up to
-    ``MAX_SUBJECTS (m - 1)``; as that tail grows with ``nu``, ``n`` is
+    method solves the smallest qualifying ``nu`` over the chi-square tail at
+    the fixed ratio ``z_lb / z``, up to ``MAX_SUBJECTS (m - 1)``, as one
+    cell of :func:`sample_size_specificity_grid`'s window from the
+    asymptotic value; as that tail grows with ``nu``, ``n`` is
     ``ceil(nu / (m - 1))``.  A floor whose coverage quantile ``z_lb`` is
     not below the target's ``z`` (adjacent doubles can share one) is
     infeasible like a floor at or above the target.
@@ -234,8 +234,8 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
         raw = twice_raw_nu / (2.0 * (m - 1))
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    nu = _search(z_lb / z, 1, p_conf, twice_raw_nu / 2.0, upper=True,
-                 limit=MAX_SUBJECTS * (m - 1))
+    nu = int(_min_subjects(np.array([z_lb / z]), np.array([p_conf]),
+                           np.array([twice_raw_nu / 2.0]), MAX_SUBJECTS * (m - 1))[0])
     if nu == 0:
         raise _not_reached(p_sp, p_esp_lb, p_conf)
     return SampleSizeResult(n=-(-nu // (m - 1)), raw=None)

@@ -470,7 +470,6 @@ class TestSampleSizeGrid:
         raw = np.array([1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
         n = core._min_subjects(np.full(6, z_lb / z), np.full(6, 0.95), raw, MAX_SUBJECTS)
         assert n.tolist() == [54] * 6
-        assert [core._search(z_lb / z, 1, 0.95, r, upper=True) for r in raw] == [54] * 6
 
     @pytest.mark.parametrize("ms", [[5, 3], [5, 2**70], [4, 10**12]])
     def test_nu_past_max_subjects(self, ms):
