@@ -383,19 +383,9 @@ def ratio_quantile(q: float, nu: int, method: MethodChoice = MethodChoice.EXACT)
     return _ratio_quantile(q, nu, method, upper=False)
 
 
-def _ratio_quantile_above(p: float, nu: int,
-                          method: MethodChoice = MethodChoice.EXACT) -> float:
-    """The ``w`` with ``P[W > w] = p``: :func:`ratio_quantile` at ``1 - p``.
-
-    By the upper-tail inverses of ``p`` itself, so no digit is lost to
-    ``1 - p``: ``sqrt(2 gammainccinv(nu/2, p) / nu)`` exactly and
-    ``1 - normal_quantile(p) / sqrt(2 nu)`` asymptotically.
-    """
-    return _ratio_quantile(p, nu, method, upper=True)
-
-
 def _ratio_quantile(p, nu, method, upper: bool) -> float:
-    # the w with P[W > w] = p if upper, else P[W <= w] = p
+    # the w with P[W > w] = p if upper, else P[W <= w] = p; the upper one by
+    # the upper-tail inverses of p itself, so no digit is lost to 1 - p
     nu = check_integer(nu, "nu")
     p = check_probability(p, "q")
     if _as_choice(MethodChoice, method, "method") is MethodChoice.EXACT:

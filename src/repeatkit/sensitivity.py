@@ -12,8 +12,11 @@ Two treatments of the detection event are offered.  ``FULL_TWO_SIDED``
 keeps both exceedance directions (the exact definition).
 ``ONE_SIDED_EXCEEDANCE`` drops the far-side term, which for positive
 effects is at most ``(1 - p_sp)/2`` and vanishes quickly in ``delta``; it
-is what makes the confidence and sample-size formulas analytic, and is the
-default there.  Point evaluations default to the full form.
+is the default of the confidence and sample-size functions, and point
+evaluations default to the full form.  Both forms answer those functions
+through one number, the ratio cap ``u`` where the effective sensitivity
+equals its floor, in closed form: a normal quantile one-sided, a
+noncentral chi-square quantile two-sided.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, nctdtr
+from scipy.special import chndtrix, erfc, nctdtr
 
 from .errors import DomainError, InfeasibleError
 from .core import (
@@ -204,48 +207,32 @@ def _nct_cdf(nu: int, d: float, t: float) -> float:
     return value
 
 
-def _invert_two_sided(target: float, d: float, z: float) -> float:
-    """Ratio ``w`` where the full two-sided effective sensitivity hits ``target``.
-
-    The map is strictly decreasing in ``w`` (both band edges move outward),
-    so bracketed bisection is safe; refined to 1e-12 in ``w``.  The largest
-    double stands in where no double brings it down to ``target``.
-    """
-    def value(w):
-        return _p_ese_raw(z * w, d, SensitivityApproximation.FULL_TWO_SIDED)
-
-    lo, hi = 1e-12, 1.0
-    while value(hi) > target:
-        if hi == sys.float_info.max:
-            return hi
-        hi = min(2.0 * hi, sys.float_info.max)
-    # halves summed: the sum of two doubles near the largest would overflow
-    while hi - lo > 1e-12 * max(1.0, lo):
-        mid = 0.5 * lo + 0.5 * hi
-        if value(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * lo + 0.5 * hi
+# From d = 38 on, erfc(d / sqrt 2) is 0 in doubles, so the far-side term of
+# the two-sided sensitivity is 0 too and its cap is the one-sided one; the
+# noncentral chi-square quantile would be NaN from d**2 of about 5e10, and
+# d**2 overflows past 1.3e154.
+_FAR_SIDE_VANISHES = 38.0
 
 
 def _ratio_cap(eff: EffectSize, p_sp: float, p_ese_lb: float,
                approximation: SensitivityApproximation) -> tuple[float, float, float]:
-    # (u, z, d): the ratio W where the effective sensitivity equals p_ese_lb, held
-    # to the largest double, and its z and d; infeasible unless w = 1 exceeds it
+    # (u, y, z): the band edge y where the effective sensitivity equals p_ese_lb,
+    # the ratio cap u = y / z held to the largest double, and z; infeasible
+    # unless y > z, that is u > 1
     z = symmetric_coverage_quantile(p_sp)
     d = eff.delta / _SQRT2
-    attainable = _p_ese_raw(z, d, approximation)
-    if attainable <= p_ese_lb:
+    if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE or d >= _FAR_SIDE_VANISHES:
+        y = d - normal_quantile(p_ese_lb)
+    else:
+        # |N(d, 1)|**2 is noncentral chi-square with 1 degree of freedom and
+        # noncentrality d**2; 1 - p_ese_lb is exact for floors >= 0.5
+        y = math.sqrt(chndtrix(1.0 - p_ese_lb, 1.0, d * d))
+    if not y > z:
         raise InfeasibleError(
             f"the effective-sensitivity floor {p_ese_lb:g} must lie strictly below "
-            f"the attainable sensitivity p_se(delta={eff.delta:g}) = {attainable:.6f} "
-            f"at p_sp={p_sp:g} under {approximation.value}")
-    if approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
-        cap = (d - normal_quantile(p_ese_lb)) / z
-    else:
-        cap = _invert_two_sided(p_ese_lb, d, z)
-    return min(cap, sys.float_info.max), z, d
+            f"the attainable sensitivity p_se(delta={eff.delta:g}) = "
+            f"{_p_ese_raw(z, d, approximation):.6f} at p_sp={p_sp:g} under {approximation.value}")
+    return min(y / z, sys.float_info.max), y, z
 
 
 def sensitivity_confidence(
@@ -255,11 +242,13 @@ def sensitivity_confidence(
 ) -> float:
     """Probability that the effective sensitivity reaches ``p_ese_lb``.
 
-    The bound maps to a ratio cap ``u`` and the answer is
-    ``P[W <= u]`` by :func:`ratio_cdf`.  One-sided,
-    ``u = (Phi^{-1}(1 - p_ese_lb) + delta/sqrt(2)) / z``; the full
-    two-sided form inverts the sensitivity map numerically.  The query is
-    infeasible when even a perfect estimate could not attain the bound.
+    The bound maps to a ratio cap ``u = y / z`` and the answer is
+    ``P[W <= u]`` by :func:`ratio_cdf`.  One-sided, the band edge is
+    ``y = Phi^{-1}(1 - p_ese_lb) + d`` with ``d = delta/sqrt(2)``; two-sided,
+    ``y**2`` is the ``1 - p_ese_lb`` quantile of ``|N(d, 1)|**2``, noncentral
+    chi-square with 1 degree of freedom (``scipy.special.chndtrix``).  The
+    query is infeasible unless ``u > 1``: even a perfect estimate could not
+    attain the bound.
     """
     p_sp = check_probability(p_sp, "p_sp")
     eff = _as_effect(delta)
@@ -306,14 +295,13 @@ def sample_size_sensitivity(
 
     Smallest ``n`` such that, with ``nu = n (m - 1)`` degrees of freedom,
     the effective sensitivity at effect size ``delta`` stays at or above
-    ``p_ese_lb`` with probability at least ``p_conf``.  Two routes: the
-    asymptotic closed form (one-sided, returns ``raw``), or an integer
-    search over :func:`ratio_cdf` at the cap ``u`` of
-    :func:`sensitivity_confidence`, found once before the search.  The
-    search is :func:`min_integer_satisfying`, which brackets the smallest
-    ``n`` with ``P[W <= u] >= p_conf`` from the asymptotic hint (clipped to
-    ``[1, MAX_SUBJECTS]``, or 1 where the closed form has no solution),
-    under either method.
+    ``p_ese_lb`` with probability at least ``p_conf``.  Everything follows
+    from the cap ``u = y / z`` of :func:`sensitivity_confidence`, found once.
+    Asymptotically, ``P[W <= u] = Phi((u - 1) sqrt(2 nu))`` gives the closed
+    form ``raw = (Phi^{-1}(p_conf) z / (y - z))**2 / (2 (m - 1))``, for either
+    approximation.  Exactly, :func:`min_integer_satisfying` brackets the
+    smallest ``n`` with ``P[W <= u] >= p_conf`` from ``raw`` (clipped to
+    ``[1, MAX_SUBJECTS]``).
     """
     m = check_integer(m, "replicates per subject m", 2)
     p_sp = check_probability(p_sp, "p_sp")
@@ -325,25 +313,16 @@ def sample_size_sensitivity(
     if eff.delta <= 0.0:
         raise DomainError("sample_size_sensitivity requires a nonzero effect size delta")
 
-    u, z, d = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
+    u, y, z = _ratio_cap(eff, p_sp, p_ese_lb, approximation)
     if p_conf <= 0.5:
         _warn_low_confidence(p_conf)
 
-    denom = -normal_quantile(p_ese_lb) + d - z
-    # denom > 0 is guaranteed when the one-sided feasibility check ran; a
-    # two-sided query can be feasible with denom <= 0, where the closed
-    # form has no solution and the search starts from n = 1.
-    if denom > 0.0:
-        raw = (normal_quantile(p_conf) * z / denom) ** 2 / (2.0 * (m - 1))
-        hint = math.ceil(min(max(raw, 1.0), MAX_SUBJECTS))
-    else:
-        raw, hint = math.inf, 1
-    if method is MethodChoice.ASYMPTOTIC and \
-            approximation is SensitivityApproximation.ONE_SIDED_EXCEEDANCE:
+    raw = (normal_quantile(p_conf) * z / (y - z)) ** 2 / (2.0 * (m - 1))
+    if method is MethodChoice.ASYMPTOTIC:
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
-
     try:
-        n = min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1), method) >= p_conf, hint)
+        n = min_integer_satisfying(lambda n: ratio_cdf(u, n * (m - 1)) >= p_conf,
+                                   math.ceil(min(max(raw, 1.0), MAX_SUBJECTS)))
     except InfeasibleError:
         raise InfeasibleError(
             f"no sample size up to {MAX_SUBJECTS} reaches confidence {p_conf} for "

@@ -41,7 +41,7 @@ from .core import (
     _inside_band,
     _min_subjects,
     _ratio_log_density,
-    _ratio_quantile_above,
+    _ratio_quantile,
     ratio_cdf,
     symmetric_coverage_quantile,
 )
@@ -173,7 +173,7 @@ def specificity_lower_bound(nu: int, p_sp: float = 0.95, p_conf: float = 0.95,
     """
     p_conf = check_probability(p_conf, "p_conf")
     z = symmetric_coverage_quantile(p_sp)
-    return _inside_band(z * _ratio_quantile_above(p_conf, nu, method))
+    return _inside_band(z * _ratio_quantile(p_conf, nu, method, upper=True))
 
 
 def _warn_low_confidence(p_conf: float) -> None:

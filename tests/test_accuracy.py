@@ -18,8 +18,13 @@ error ``e`` in ``a`` into about ``2 a**2 e``, so it is held to
 ``1e-14 (1 + 2 a**2)`` relative.  The two-sided forms are ``1 - inside``,
 which cannot resolve less than one step of the doubles below 1: they are
 held to 1e-15 absolute, plus the rounding of the band edges, a few ulps of
-``y + d`` that the normal density at the edges passes on.  The draws are
-derandomized, so every run checks the same points.
+``y + d`` that the normal density at the edges passes on.
+
+The two-sided ratio cap is ``y / z``, where the band edge ``y`` solves
+``P[|N(d, 1)| > y] = p_ese_lb``.  ``y`` is held to 1e-13 relative for floors
+from 0.01 to ``1 - 1e-15``, and to 1e-10 below 0.01, where the noncentral
+chi-square quantile is taken at ``1 - p_ese_lb``, which rounds.  The draws
+are derandomized, so every run checks the same points.
 """
 
 import math
@@ -27,18 +32,22 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.special import erfc
 
 from repeatkit.core import (
     MethodChoice,
-    _ratio_quantile_above,
+    _ratio_quantile,
     ratio_quantile,
     symmetric_coverage_quantile,
 )
-from repeatkit.errors import DomainError
+from repeatkit.errors import DomainError, InfeasibleError
 from repeatkit.numerics import normal_quantile
 from repeatkit.sensitivity import (
+    _FAR_SIDE_VANISHES,
+    EffectSize,
     SensitivityApproximation,
+    _ratio_cap,
     effective_sensitivity_given_ratio,
     expected_effective_sensitivity,
 )
@@ -52,6 +61,8 @@ NORMAL_RTOL = 1e-14
 RATIO_RTOL = 1e-13
 BAND_RTOL = 1e-14
 BAND_ATOL = 1e-15
+CAP_RTOL = 1e-13
+CAP_RTOL_LOW_FLOOR = 1e-10
 
 ONE_SIDED = SensitivityApproximation.ONE_SIDED_EXCEEDANCE
 TWO_SIDED = SensitivityApproximation.FULL_TWO_SIDED
@@ -183,10 +194,10 @@ def test_normal_quantile_both_tails(p):
 @example(p=1e-300, nu=5 * 10**5)
 @example(p=_LARGEST_BELOW_1, nu=5 * 10**5)
 def test_exact_ratio_quantiles(p, nu):
-    for quantile, upper in ((ratio_quantile, False), (_ratio_quantile_above, True)):
-        got = quantile(p, nu, MethodChoice.EXACT)
+    for upper in (False, True):
+        got = _ratio_quantile(p, nu, MethodChoice.EXACT, upper)
         want = _ratio_quantile_mp(p, nu, upper, got)
-        assert _relative_error(got, want) <= RATIO_RTOL, (quantile.__name__, got, want)
+        assert _relative_error(got, want) <= RATIO_RTOL, (upper, got, want)
 
 
 @_SETTINGS
@@ -195,19 +206,19 @@ def test_exact_ratio_quantiles(p, nu):
 @example(p=0.05, nu=1)
 @example(p=_LARGEST_BELOW_1, nu=5 * 10**5)
 def test_asymptotic_ratio_quantiles(p, nu):
-    for quantile, sign in ((ratio_quantile, 1), (_ratio_quantile_above, -1)):
-        x = sign * _normal_quantile_mp(p) / mp.sqrt(2 * nu)
+    for upper in (False, True):
+        x = (-1 if upper else 1) * _normal_quantile_mp(p) / mp.sqrt(2 * nu)
         want = 1 + x
         scale = 1 + abs(x)
         try:
-            got = quantile(p, nu, MethodChoice.ASYMPTOTIC)
+            got = _ratio_quantile(p, nu, MethodChoice.ASYMPTOTIC, upper)
         except DomainError as e:
             # raised where the quantile is at or below 0, to within the bound
-            assert want <= RATIO_RTOL * scale, (quantile.__name__, want)
+            assert want <= RATIO_RTOL * scale, (upper, want)
             assert "use the exact method" in str(e)
             continue
         assert got > 0.0
-        assert abs(mp.mpf(got) - want) <= RATIO_RTOL * scale, (quantile.__name__, got, want)
+        assert abs(mp.mpf(got) - want) <= RATIO_RTOL * scale, (upper, got, want)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -223,7 +234,7 @@ def test_exact_ratio_quantile_at_large_nu():
 def test_upper_asymptotic_quantile_names_its_lower_probability():
     # the upper 0.95 quantile is the lower 0.05 one, and says so
     with pytest.raises(DomainError) as upper:
-        _ratio_quantile_above(0.95, 1, MethodChoice.ASYMPTOTIC)
+        _ratio_quantile(0.95, 1, MethodChoice.ASYMPTOTIC, upper=True)
     with pytest.raises(DomainError) as lower:
         ratio_quantile(0.05, 1, MethodChoice.ASYMPTOTIC)
     assert str(upper.value) == str(lower.value) == (
@@ -316,7 +327,8 @@ def test_specificity_lower_bound_keeps_a_tiny_floor():
     # proportional to z w here, so its error is that of the quantile; as a
     # difference of two normal CDFs near 1/2 it read 1.665e-16
     p_sp, p_conf, nu = 1.609659605122804e-15, 0.9999999999999901, 14
-    w = _ratio_quantile_mp(p_conf, nu, True, _ratio_quantile_above(p_conf, nu))
+    start = _ratio_quantile(p_conf, nu, MethodChoice.EXACT, upper=True)
+    w = _ratio_quantile_mp(p_conf, nu, True, start)
     want = mp.erf(_coverage_mp(p_sp) * w / mp.sqrt(2))
     assert 1.1199e-16 < want < 1.1200e-16
     assert _relative_error(specificity_lower_bound(nu, p_sp, p_conf), want) <= RATIO_RTOL
@@ -337,3 +349,76 @@ def test_floats_and_arrays_give_the_same_floats(ws, p_sp, delta):
         many = f(np.array(ws))
         assert isinstance(many, np.ndarray) and many.shape == (len(ws),)
         assert many.view(np.int64).tolist() == np.array(one).view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the two-sided ratio cap: the band edge where the sensitivity meets its floor
+# ---------------------------------------------------------------------------
+
+_ROOT_2 = math.sqrt(2.0)
+# effect sizes with d = delta / sqrt 2 from 1e-3 up to the far-side switch,
+# log-uniform, and from the switch to 1e300
+_NEAR_DELTA = st.floats(min_value=math.log10(1e-3 * _ROOT_2),
+                        max_value=math.log10(_FAR_SIDE_VANISHES * _ROOT_2),
+                        exclude_max=True).map(lambda e: 10.0 ** e)
+_FAR_DELTA = st.floats(min_value=math.log10(_FAR_SIDE_VANISHES * _ROOT_2),
+                       max_value=300.0).map(lambda e: 10.0 ** e)
+# floors from 1e-6 to 0.01 log-uniform, from 0.01 to 1/2 uniform, and toward 1
+# up to 1 - 1e-15
+_FLOOR = st.one_of(
+    st.floats(min_value=-6.0, max_value=-2.0, exclude_max=True).map(lambda e: 10.0 ** e),
+    st.floats(min_value=0.01, max_value=0.5),
+    st.floats(min_value=math.log10(2.0), max_value=15.0).map(lambda e: 1.0 - 10.0 ** -e))
+
+
+def _two_sided_edge_mp(p, d, start):
+    # the y with P[|N(d, 1)| > y] = p: Newton steps on the log of that tail,
+    # from start where it is a positive double, to 30 digits, as a tail near 1
+    # leaves fewer than 50 in its log
+    p, d = mp.mpf(p), mp.mpf(d)
+    y = mp.mpf(start) if 0.0 < start < math.inf else d + 1
+    for _ in range(200):
+        tail = _outside_mp(y, d)
+        step = (mp.log(tail) - mp.log(p)) / (-(mp.npdf(y - d) + mp.npdf(y + d)) / tail)
+        y -= step
+        if abs(step) < abs(y) * mp.mpf(10) ** -30:
+            return y
+    raise AssertionError("Newton steps did not converge")
+
+
+@_SETTINGS
+@given(p_ese_lb=_FLOOR, delta=_NEAR_DELTA)
+@example(p_ese_lb=1e-6, delta=1e-3 * _ROOT_2)
+@example(p_ese_lb=0.01, delta=1.0)
+@example(p_ese_lb=0.5, delta=37.99 * _ROOT_2)
+@example(p_ese_lb=1.0 - 1e-15, delta=10.0)
+@example(p_ese_lb=0.999, delta=1e-3 * _ROOT_2)
+def test_two_sided_ratio_cap(p_ese_lb, delta):
+    # at p_sp = 1e-300, z is about 1.25e-300, so every edge above it is feasible
+    d = delta / _ROOT_2
+    assume(d < _FAR_SIDE_VANISHES)
+    _, got, _ = _ratio_cap(EffectSize(delta), 1e-300, p_ese_lb, TWO_SIDED)
+    want = _two_sided_edge_mp(p_ese_lb, d, got)
+    assume(want >= 1e-3)
+    rtol = CAP_RTOL if p_ese_lb >= 0.01 else CAP_RTOL_LOW_FLOOR
+    assert _relative_error(got, want) <= rtol, (got, want)
+
+
+def _cap_or_infeasible(delta, p_sp, p_ese_lb, approximation):
+    try:
+        return [v.hex() for v in _ratio_cap(EffectSize(delta), p_sp, p_ese_lb, approximation)]
+    except InfeasibleError:
+        return "infeasible"
+
+
+@_SETTINGS
+@given(p_ese_lb=_P, delta=_FAR_DELTA, p_sp=_P)
+@example(p_ese_lb=0.5, delta=_FAR_SIDE_VANISHES * _ROOT_2, p_sp=0.95)
+@example(p_ese_lb=1e-300, delta=1e300, p_sp=_LARGEST_BELOW_1)
+def test_far_side_cap_is_the_one_sided_cap(p_ese_lb, delta, p_sp):
+    # from d = 38 the far-side term erfc((y + d) / sqrt 2) / 2 is 0 in doubles,
+    # so the two-sided cap is the one-sided one, bit for bit
+    assume(delta / _ROOT_2 >= _FAR_SIDE_VANISHES)
+    assert float(erfc(_FAR_SIDE_VANISHES / _ROOT_2)) == 0.0
+    assert _cap_or_infeasible(delta, p_sp, p_ese_lb, TWO_SIDED) == \
+        _cap_or_infeasible(delta, p_sp, p_ese_lb, ONE_SIDED)

@@ -392,6 +392,15 @@ class TestSampleSizeSens:
                            "--ese-lb", "0.9")
         assert code == EXIT_INFEASIBLE
 
+    def test_floor_one_ulp_under_the_attainable_is_infeasible(self, capsys):
+        # the attainable sensitivity at delta 2 is 0.29261875345420973; this
+        # floor is one ulp under it, and its band edge y rounds to z itself
+        code, out, err = run(capsys, "samplesize-sens", "--psp", "0.95", "--delta", "2",
+                             "--ese-lb", "0.2926187534542097")
+        assert code == EXIT_INFEASIBLE
+        assert out == ""
+        assert "infeasible design" in err
+
     def test_undefined_asymptotic_induced_bound_is_a_warning(self, capsys):
         # the asymptotic n is 2, where the normal approximation puts the
         # 0.01 ratio quantile below 0: that one row is left out

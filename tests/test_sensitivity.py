@@ -375,9 +375,9 @@ class TestSampleSizeSensitivity:
     def test_two_sided_search_inverts_once(self, monkeypatch):
         # the ratio cap is found before the search, not at every step
         calls = []
-        invert = sensitivity_module._invert_two_sided
-        monkeypatch.setattr(sensitivity_module, "_invert_two_sided",
-                            lambda *a: calls.append(a) or invert(*a))
+        quantile = sensitivity_module.chndtrix
+        monkeypatch.setattr(sensitivity_module, "chndtrix",
+                            lambda *a: calls.append(a) or quantile(*a))
         res = sample_size_sensitivity(2, 4.0, 0.95, 0.80, 0.95,
                                       MethodChoice.EXACT, TWO_SIDED)
         assert res.n > 1000
@@ -412,10 +412,41 @@ class TestSampleSizeSensitivity:
             sample_size_sensitivity(2, 4.0, 0.95, 0.807429479, 0.99, MethodChoice.EXACT)
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(p_sp=st.floats(min_value=1e-6, max_value=0.999999), ulps=st.integers(1, 4),
+       delta=st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e),
+       m=st.integers(2, 10), nu=st.integers(1, 10**6),
+       p_conf=st.floats(min_value=0.01, max_value=0.999))
+@example(p_sp=0.95, ulps=1, delta=2.0, m=2, nu=1, p_conf=0.95)
+def test_floors_just_under_the_attainable_answer_or_are_infeasible(
+        p_sp, ulps, delta, m, nu, p_conf):
+    # a floor 1-4 ulps under the attainable sensitivity puts the band edge y
+    # within rounding of z; each query answers or raises InfeasibleError
+    for approximation in SensitivityApproximation:
+        lb = effective_sensitivity_given_ratio(1.0, delta, p_sp, approximation)
+        for _ in range(ulps):
+            lb = math.nextafter(lb, 0.0)
+        for method in MethodChoice:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    assert sample_size_sensitivity(m, delta, p_sp, lb, p_conf, method,
+                                                   approximation).n >= 1
+                except InfeasibleError:
+                    pass
+            try:
+                conf = sensitivity_confidence(nu, delta, p_sp, lb, method, approximation)
+                assert 0.0 <= conf <= 1.0
+            except InfeasibleError:
+                pass
+
+
 def _scalar_search(m, delta, p_sp, lb, conf, method, approximation):
     # The exact n as it was found before the shared window search:
-    # min_integer_satisfying over ratio_cdf at the cap u from the hint.
-    u, z, d = sensitivity_module._ratio_cap(EffectSize(delta), p_sp, lb, approximation)
+    # min_integer_satisfying over ratio_cdf at the cap u from the hint, the
+    # one-sided closed form whichever the approximation.
+    u, _, z = sensitivity_module._ratio_cap(EffectSize(delta), p_sp, lb, approximation)
+    d = delta / math.sqrt(2.0)
     denom = -normal_quantile(lb) + d - z
     raw = (normal_quantile(conf) * z / denom) ** 2 / (2.0 * (m - 1)) if denom > 0.0 else None
     try:
@@ -425,13 +456,12 @@ def _scalar_search(m, delta, p_sp, lb, conf, method, approximation):
         return "infeasible"
 
 
-@pytest.mark.parametrize("method", list(MethodChoice))
-def test_any_hint_gives_the_same_n(method, monkeypatch):
+@pytest.mark.parametrize("approximation", [ONE_SIDED, TWO_SIDED], ids=lambda a: a.value)
+def test_any_hint_gives_the_same_n(approximation, monkeypatch):
     # the lower-tail search from hints far from the answer, on either side
-    # and at both ends of the range, clipped as the search clips them; the
-    # asymptotic one-sided size is a closed form, so that method searches
-    # under the two-sided approximation
-    approximation = ONE_SIDED if method is MethodChoice.EXACT else TWO_SIDED
+    # and at both ends of the range, clipped as the search clips them; every
+    # asymptotic size is a closed form, so only the exact method searches
+    method = MethodChoice.EXACT
     want = _scalar_search(2, 4.0, 0.95, 0.75, 0.95, method, approximation)
     starts = []
     for r in [1.0, 20.0, want, 1e5, 1e9, math.inf]:
