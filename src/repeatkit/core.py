@@ -18,7 +18,8 @@ directly, and every confidence statement and worst-case bound downstream
 is one call into them.  So is the search behind every exact specificity
 sample size: the smallest ``nu`` whose confidence ``P[W >= w]`` reaches a
 level, settled for a whole grid at once by a window of consecutive ``nu``
-per cell, with one design as a one-cell grid.
+per cell around the Wilson-Hilferty closed form for that ``nu``, with one
+design as a one-cell grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfinv, gammainc, gammainccinv, gammaincinv, gammaln
+from scipy.special import erf, erfinv, gammainc, gammainccinv, gammaincinv, gammaln, ndtri
 
 from .errors import DataValidationError, DomainError, InfeasibleError
 from .numerics import (
@@ -405,53 +406,52 @@ def _ratio_quantile(p, nu, method, upper: bool) -> float:
 # smallest design with a confidence statement on W
 # ---------------------------------------------------------------------------
 
-# Consecutive degrees of freedom evaluated around each asymptotic hint of a
-# grid, from _BELOW under it.  The exact nu of P[W >= w] lies from 1 under
-# the hint to 6 over it in 98.8 % of plan-shaped cells (97.7 % to 4 over,
-# 99.2 % to 9 over); a wider window costs more than the searches it saves.
-_WINDOW = 9
-_BELOW = 2
-_STEPS = np.arange(_WINDOW)
-# A window's predicate values read as the bits of an integer (bit j for
-# nu = start + j) index its edge: the j of the first true value where the
-# window is false and then true, 0 where it is all true, -1 otherwise.
-_BITS = 1 << _STEPS
-_EDGE = np.full(1 << _WINDOW, -1)
-_EDGE[(1 << _WINDOW) - _BITS] = _STEPS
+# Consecutive degrees of freedom evaluated per cell, from 2 under its hint
+_STEPS = np.arange(4)
 
 
-def _min_subjects(w, p_conf, raw, limit: int) -> np.ndarray:
+def _min_subjects(w, p_conf, limit: int) -> np.ndarray:
     """Smallest ``nu`` per cell with ``P[W >= w] >= p_conf``; 0 where none up to ``limit``.
 
     Every exact specificity sample size: the ``tables`` grid takes
     ``n = ceil(nu / (m - 1))`` for each ``m``, and one design is a one-cell
-    grid.  It tests ``P[W <= w] <= 1 - p_conf``, exact for ``p_conf >= 0.5``,
-    with the operations of :func:`ratio_cdf` in its order, so the floats are
-    its own.  All arguments but ``limit`` are checked 1-d arrays of one
-    length.  Each cell evaluates ``_WINDOW`` consecutive ``nu`` next to its
-    hint ``ceil(raw)`` (clipped to ``[1, limit]``), all cells in one
+    grid.  ``w`` and ``p_conf`` are checked 1-d arrays of one length, with
+    ``w < 1``.  It tests ``P[W <= w] <= 1 - p_conf``, exact for
+    ``p_conf >= 0.5``, with the operations of :func:`ratio_cdf` in its
+    order, so the floats are its own.
+
+    Each cell starts from the Wilson-Hilferty form of the law (Wilson and
+    Hilferty 1931): ``(W**2)**(1/3)`` is nearly normal with mean ``1 - s**2``
+    and variance ``s**2 = 2 / (9 nu)``, so ``P[W <= w] = 1 - p_conf`` where
+    ``s**2 - q s + k = 0``, with ``q = Phi^-1(1 - p_conf)`` and
+    ``k = w**(2/3) - 1 < 0``.  The root ``s = (q + sqrt(q**2 - 4k)) / 2``,
+    taken as ``-2k / (sqrt(q**2 - 4k) - q)`` so that it does not cancel for
+    ``p_conf > 0.5``, gives the hint ``ceil(2 / (9 s**2))`` in ``[1, limit]``
+    and at most 2**53, below which every integer is its own double.  The 4
+    ``nu`` from 2 under the hint are evaluated for all cells in one
     ``gammainc`` call.  A window that is false and then true, or true from
-    ``nu = 1``, settles its cell.  :func:`min_integer_satisfying` brackets
-    every other cell over :func:`ratio_cdf` from the same hint.  The result
-    is int64, or Python ints where ``limit`` passes int64's range.
+    ``nu = 1``, settles its cell; :func:`min_integer_satisfying` brackets
+    every other cell over :func:`ratio_cdf` from its hint.  The result is
+    int64, or Python ints where ``limit`` passes int64's range.
     """
-    # ceil(raw) - below, clipped so that a window ends by limit and by 2**53,
-    # below which every integer nu is its own double; raw - below is exact
-    # from raw = below to 2**53, and outside that range both forms clip alike
-    last = min(limit, 2**53) - _WINDOW + 1
-    start = np.minimum(np.maximum(np.ceil(raw - _BELOW), 1.0), last)
+    q = -ndtri(p_conf)
+    # w is 0 where z_lb underflows, and the least subnormal gives it k = -1
+    k = np.expm1(np.log(np.maximum(w, 5e-324)) * (2.0 / 3.0))
+    top = float(min(limit, 2**53))
+    hint = np.clip(np.ceil((np.sqrt(q * q - 4.0 * k) - q) ** 2 / (18.0 * k * k)), 1.0, top)
+    start = np.clip(hint - 2.0, 1.0, top - _STEPS[-1])
     nu = start[:, None] + _STEPS
     holds = gammainc(0.5 * nu, 0.5 * (nu * w[:, None] * w[:, None])) <= 1.0 - p_conf[:, None]
-    edge = _EDGE[holds @ _BITS]
-    sizes = (start + edge).astype(np.int64)
+    first = holds.argmax(axis=1)
+    sizes = (start + first).astype(np.int64)
     if limit > np.iinfo(np.int64).max:
         sizes = sizes.astype(object)
-    # an all-true window settles its cell only where it starts at nu = 1
-    for i in np.flatnonzero(edge < (start > 1.0)):
-        hint = math.ceil(min(max(float(raw[i]), 1.0), limit))
+    # open: not falses and then trues, or all true from a start past nu = 1
+    open_ = (holds.sum(axis=1) != _STEPS.size - first) | ((first == 0) & (start > 1.0))
+    for i in np.flatnonzero(open_):
         try:
             sizes[i] = min_integer_satisfying(
-                lambda nu, w=w[i], q=p_conf[i]: ratio_cdf(w, nu) <= 1.0 - q, hint, limit)
+                lambda nu, w=w[i], p=p_conf[i]: ratio_cdf(w, nu) <= 1.0 - p, int(hint[i]), limit)
         except InfeasibleError:
             sizes[i] = 0
     return sizes

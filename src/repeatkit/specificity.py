@@ -207,9 +207,9 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     closed-form real solution (also in ``raw``) rounded up.  The exact
     method solves the smallest qualifying ``nu`` over the chi-square tail at
     the fixed ratio ``z_lb / z``, up to ``MAX_SUBJECTS (m - 1)``, as one
-    cell of :func:`sample_size_specificity_grid`'s window from the
-    asymptotic value; as that tail grows with ``nu``, ``n`` is
-    ``ceil(nu / (m - 1))``.  A floor whose coverage quantile ``z_lb`` is
+    cell of :func:`sample_size_specificity_grid`'s window, which starts from
+    the Wilson-Hilferty form of that tail; as the tail grows with ``nu``,
+    ``n`` is ``ceil(nu / (m - 1))``.  A floor whose coverage quantile ``z_lb`` is
     not below the target's ``z`` (adjacent doubles can share one) is
     infeasible like a floor at or above the target.
     """
@@ -229,13 +229,11 @@ def sample_size_specificity(m: int, p_sp: float = 0.95, p_esp_lb: float = 0.90,
     z_lb = symmetric_coverage_quantile(p_esp_lb)
     if z_lb >= z:
         raise _no_separation(p_sp, p_esp_lb, z, z_lb)
-    twice_raw_nu = (-normal_quantile(p_conf) * z / (z_lb - z)) ** 2
     if method is MethodChoice.ASYMPTOTIC:
-        raw = twice_raw_nu / (2.0 * (m - 1))
+        raw = (-normal_quantile(p_conf) * z / (z_lb - z)) ** 2 / (2.0 * (m - 1))
         return SampleSizeResult(n=max(1, math.ceil(raw)), raw=raw)
 
-    nu = int(_min_subjects(np.array([z_lb / z]), np.array([p_conf]),
-                           np.array([twice_raw_nu / 2.0]), MAX_SUBJECTS * (m - 1))[0])
+    nu = int(_min_subjects(np.array([z_lb / z]), np.array([p_conf]), MAX_SUBJECTS * (m - 1))[0])
     if nu == 0:
         raise _not_reached(p_sp, p_esp_lb, p_conf)
     return SampleSizeResult(n=-(-nu // (m - 1)), raw=None)
@@ -254,7 +252,8 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
     ``(len(m), len(p_conf), len(p_esp_lb), len(p_sp))`` holding each
     cell's exact ``n``, and 0 where the floor is at or above the target.
     The least ``nu`` of each (``p_conf``, ``p_esp_lb``, ``p_sp``) cell is
-    solved once, up to ``MAX_SUBJECTS (m - 1)`` for the largest ``m``, and
+    solved once, up to ``MAX_SUBJECTS (m - 1)`` for the largest ``m``, by
+    one window of 4 ``nu`` per cell around its Wilson-Hilferty value, and
     ``n = ceil(nu / (m - 1))`` for each ``m``.  Raises
     :class:`InfeasibleError` for the first cell whose floor shares the
     target's coverage quantile, else for the first cell in
@@ -283,12 +282,7 @@ def sample_size_specificity_grid(m, p_sp, p_esp_lb, p_conf) -> np.ndarray:
         i = shared[0]
         raise _no_separation(float(p_sp[si[i]]), float(p_esp_lb[li[i]]),
                              float(z[i]), float(z_lb[i]))
-    # numpy squares exactly, where Python's ** calls libm's pow and can round
-    # the other way; the hint then moves by one only where raw is within an
-    # ulp of an integer, and the nu found does not depend on the hint
-    q = -np.array([normal_quantile(p) for p in p_conf.tolist()])[ci]
-    raw = (q * z / (z_lb - z)) ** 2 / 2.0
-    nu = _min_subjects(z_lb / z, p_conf[ci], raw, MAX_SUBJECTS * (max(m) - 1))
+    nu = _min_subjects(z_lb / z, p_conf[ci], MAX_SUBJECTS * (max(m) - 1))
     for k, dof in enumerate(v - 1 for v in m):
         n = -(-nu // dof)
         missing = np.flatnonzero((nu == 0) | (n > MAX_SUBJECTS))

@@ -28,11 +28,12 @@ are derandomized, so every run checks the same points.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 from scipy.special import erfc
 
 from repeatkit.core import (
@@ -54,6 +55,7 @@ from repeatkit.sensitivity import (
 from repeatkit.specificity import (
     effective_specificity_given_ratio,
     expected_effective_specificity,
+    sample_size_specificity,
     specificity_lower_bound,
 )
 
@@ -422,3 +424,84 @@ def test_far_side_cap_is_the_one_sided_cap(p_ese_lb, delta, p_sp):
     assert float(erfc(_FAR_SIDE_VANISHES / _ROOT_2)) == 0.0
     assert _cap_or_infeasible(delta, p_sp, p_ese_lb, TWO_SIDED) == \
         _cap_or_infeasible(delta, p_sp, p_ese_lb, ONE_SIDED)
+
+
+# ---------------------------------------------------------------------------
+# exact specificity sample sizes: the least n, from the definition
+# ---------------------------------------------------------------------------
+
+# designs are checked up to this nu = n (m - 1); scipy's law of W loses
+# digits from about 8e5 on (test_exact_ratio_quantile_at_large_nu)
+_NU_CHECKED = 8 * 10**5
+# replicates per subject from 2 to 1e4, log-uniform
+_REPLICATES = st.floats(min_value=math.log10(2.0), max_value=4.0).map(lambda e: int(10.0 ** e))
+# (p_esp_lb, p_sp): anywhere in (0, 1), or the floor 10**-u of the target's
+# distance from 1 under it, for u from 1 to 7, where nu_min is large
+_FLOOR_AND_TARGET = st.one_of(
+    st.tuples(_P, _P).map(sorted),
+    st.tuples(st.floats(min_value=1.0, max_value=7.0), _TOWARD_1).map(
+        lambda t: (t[1] - (1.0 - t[1]) * 10.0 ** -t[0], t[1])))
+# (p_sp, p_esp_lb, p_conf) within 1e-13 of 1, whose least n is 4720 at m = 2
+_NEAR_ONE = (0.9999999999998764, 0.9999999999914251, 0.9999999999999957)
+
+
+def _specificity_confident_mp(n, m, p_sp, p_esp_lb, p_conf, lower_tail):
+    # P[W >= z_lb / z] >= p_conf at nu = n (m - 1), the coverage quantiles at
+    # 50 digits, compared as P[W < w] <= 1 - p_conf
+    w = _coverage_mp(p_esp_lb) / _coverage_mp(p_sp)
+    return lower_tail(mp.mpf(n * (m - 1)) / 2, w * w) <= 1 - mp.mpf(p_conf)
+
+
+def _series_lower_tail(a, lam):
+    return _gamma_tails(a, a * lam)[0]
+
+
+def _temme_lower_tail(a, lam):
+    # P(a, a lam) by Temme's uniform expansion (DLMF 8.12.3) to its first
+    # term c0; the next is smaller by a factor of order 1/a
+    eta = mp.sign(lam - 1) * mp.sqrt(2 * (lam - 1 - mp.log(lam)))
+    c0 = 1 / (lam - 1) - 1 / eta
+    return (mp.erfc(-eta * mp.sqrt(a / 2)) / 2
+            - mp.exp(-a * eta * eta / 2) * c0 / mp.sqrt(2 * mp.pi * a))
+
+
+def _assert_least_specificity_size(n, m, p_sp, p_esp_lb, p_conf, lower_tail):
+    # n meets the confidence and n - 1 does not; the confidence grows with
+    # nu (test_confidence_is_non_decreasing_in_nu), so no smaller n does
+    assert _specificity_confident_mp(n, m, p_sp, p_esp_lb, p_conf, lower_tail), n
+    assert n == 1 or not _specificity_confident_mp(n - 1, m, p_sp, p_esp_lb, p_conf,
+                                                   lower_tail), n
+
+
+@settings(_SETTINGS, max_examples=100)
+@given(m=_REPLICATES, floor_and_target=_FLOOR_AND_TARGET, p_conf=_P)
+@example(m=2, floor_and_target=_NEAR_ONE[1::-1], p_conf=_NEAR_ONE[2])
+@example(m=3, floor_and_target=_NEAR_ONE[1::-1], p_conf=_NEAR_ONE[2])
+@example(m=2, floor_and_target=(0.765, 0.92), p_conf=0.99999999995825)
+@example(m=2, floor_and_target=(0.829, 0.851), p_conf=0.9999999999995116)
+@example(m=2, floor_and_target=(0.90, 0.95), p_conf=1.0 - 1e-13)
+@example(m=5, floor_and_target=(0.8, 0.99), p_conf=_LARGEST_BELOW_1)
+@example(m=2, floor_and_target=(0.90, 0.95), p_conf=0.95)
+@example(m=2, floor_and_target=(1e-300, _LARGEST_BELOW_1), p_conf=1e-300)
+def test_exact_specificity_size_is_least(m, floor_and_target, p_conf):
+    p_esp_lb, p_sp = floor_and_target
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # confidences at or below 0.5 warn
+        try:
+            n = sample_size_specificity(m, p_sp, p_esp_lb, p_conf).n
+        except InfeasibleError:
+            reject()  # a floor not below the target, or nu_min past the checked range
+    assume(n * (m - 1) <= _NU_CHECKED)
+    _assert_least_specificity_size(n, m, p_sp, p_esp_lb, p_conf, _series_lower_tail)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("m,p_sp,p_esp_lb,p_conf", [
+    (9_200_000_000_000_000_001, 0.9880899399272263, 0.9880899399266615, 0.999999),
+    (10**12, 0.9999999992739117, 0.9999999992739116, 0.9999999999999802),
+])
+def test_exact_specificity_size_at_large_nu(m, p_sp, p_esp_lb, p_conf):
+    # the least n is 27,783 and 1,851,050, with nu of 2.6e23 and 1.9e18, where
+    # scipy's gammainc is not monotone in nu
+    n = sample_size_specificity(m, p_sp, p_esp_lb, p_conf).n
+    _assert_least_specificity_size(n, m, p_sp, p_esp_lb, p_conf, _temme_lower_tail)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate as sci_integrate, stats
+from scipy.special import gammainc
 
 from repeatkit import core
 from repeatkit.cli import TABLE_CONF_VALUES, TABLE_LB_VALUES, TABLE_M_VALUES, TABLE_PSP_VALUES
@@ -347,6 +348,14 @@ class TestSampleSizeSpecificity:
         assert sample_size_specificity_grid([2, m], [0.99], [0.90], [0.95])[:, 0, 0, 0].tolist() \
             == [sample_size_specificity(2, 0.99, 0.90, 0.95).n, 1]
 
+    def test_floor_whose_quantile_underflows_needs_one_subject(self):
+        # z_lb / z rounds to w = 0, where every nu holds, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_size_specificity(2, 0.999999, 5e-324, 0.95).n == 1
+            assert sample_size_specificity_grid([2, 3], [0.999999], [5e-324], [0.95]) \
+                [:, 0, 0, 0].tolist() == [1, 1]
+
     def test_equal_nu_designs_agree(self):
         # (m=2, n) and (m=3, n') with the same pooled dof share one threshold
         n2 = sample_size_specificity(2, 0.95, 0.90, 0.95, MethodChoice.EXACT).n
@@ -401,6 +410,36 @@ def _plan_shaped_grid(seed):
     return (2, 3, 4, 5), draw(0.90, 0.995), draw(0.70, 0.999), draw(0.80, 0.99)
 
 
+def _fallback_starts(monkeypatch, solve):
+    # solve() and the start of each fallback search it ran
+    hints = []
+
+    def counting(predicate, start_hint, limit):
+        hints.append(start_hint)
+        return min_integer_satisfying(predicate, start_hint, limit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "min_integer_satisfying", counting)
+        return solve(), hints
+
+
+def _open_every_window(monkeypatch, starts):
+    # The window's one gammainc call, on a 2-d array, answers 1, which holds
+    # nowhere, so every cell falls back; ratio_cdf's scalar calls are real.
+    # Each fallback in turn starts from the next of `starts`, clipped to the
+    # search's range.  Returns the list of starts used, filled as they are.
+    monkeypatch.setattr(core, "gammainc",
+                        lambda a, x: np.ones_like(x) if np.ndim(x) == 2 else gammainc(a, x))
+    pending, used = iter(starts), []
+
+    def from_start(predicate, start_hint, limit):
+        used.append(math.ceil(min(max(next(pending), 1.0), limit)))
+        return min_integer_satisfying(predicate, used[-1], limit)
+
+    monkeypatch.setattr(core, "min_integer_satisfying", from_start)
+    return used
+
+
 def _published_ratios(test):
     # each ratio z_lb / z of the published tables, one step below its nu_min
     # at confidence 0.95, where the solve turns
@@ -438,38 +477,47 @@ class TestSampleSizeGrid:
     def test_plan_shaped_grid_matches_scalar_search(self, seed):
         _assert_grid_matches_scalar_search(*_plan_shaped_grid(seed))
 
-    def test_confidence_within_1e13_of_one(self):
-        # the window and its fallback test P[W < w] <= 1 - p_conf, as one design does
+    def test_window_settles_every_planning_cell(self, monkeypatch):
+        # no fallback search over the published grid or the plan-shaped ones
+        grids = [(TABLE_M_VALUES, TABLE_PSP_VALUES, TABLE_LB_VALUES, TABLE_CONF_VALUES)]
+        grids += [_plan_shaped_grid(seed) for seed in range(20)]
+        _, hints = _fallback_starts(
+            monkeypatch, lambda: [sample_size_specificity_grid(*grid) for grid in grids])
+        assert hints == []
+
+    def test_confidence_within_1e13_of_one(self, monkeypatch):
+        # the window and its fallback test P[W < w] <= 1 - p_conf, as one
+        # design does, where 1 - P[W < w] >= p_conf finds 9501 and 4718; the
+        # window settles the first cell, and leaves the second open from its
+        # hint 4723; the fallback from any start finds 4720
+        assert _fallback_starts(monkeypatch, lambda: sample_size_specificity_grid(
+            [2], [0.851], [0.829], [0.9999999999995116])[:, 0, 0, 0].tolist()) == ([9502], [])
         p_sp, lb, conf = NEAR_ONE
-        assert sample_size_specificity_grid([2, 3], [p_sp], [lb], [conf])[:, 0, 0, 0].tolist() \
-            == [4720, 2360]
+        assert _fallback_starts(monkeypatch, lambda: sample_size_specificity_grid(
+            [2, 3], [p_sp], [lb], [conf])[:, 0, 0, 0].tolist()) == ([4720, 2360], [4723])
         z, z_lb = symmetric_coverage_quantile(p_sp), symmetric_coverage_quantile(lb)
-        raw = np.array([1.0, 4719.0, 1e9])
-        assert core._min_subjects(np.full(3, z_lb / z), np.full(3, conf), raw,
+        used = _open_every_window(monkeypatch, [1.0, 4719.0, 1e9])
+        assert core._min_subjects(np.full(3, z_lb / z), np.full(3, conf),
                                   MAX_SUBJECTS).tolist() == [4720] * 3
+        assert used == [1, 4719, MAX_SUBJECTS]
 
     def test_unsettled_window_falls_back_to_the_search(self, monkeypatch):
-        # the asymptotic hint of nu is 240 and the exact nu 247, past the window
-        hints = []
+        # the hint of nu is 183 and the exact nu 181, under the window
+        conf = 0.99999999995825
+        sizes, hints = _fallback_starts(monkeypatch, lambda: sample_size_specificity_grid(
+            [2, 3], [0.92], [0.765], [conf])[:, 0, 0, 0].tolist())
+        assert hints == [183]
+        assert sizes == [_scalar_search(2, 0.92, 0.765, conf),
+                         _scalar_search(3, 0.92, 0.765, conf)] == [181, 91]
 
-        def counting(predicate, start_hint, limit):
-            hints.append(start_hint)
-            return min_integer_satisfying(predicate, start_hint, limit)
-
-        monkeypatch.setattr(core, "min_integer_satisfying", counting)
-        sizes = sample_size_specificity_grid([2, 3], [0.95, 0.914], [0.894], [0.9])
-        assert hints == [240]
-        assert sizes[:, 0, 0].tolist() == [[_scalar_search(2, 0.95, 0.894, 0.9), 247],
-                                           [_scalar_search(3, 0.95, 0.894, 0.9),
-                                            _scalar_search(3, 0.914, 0.894, 0.9)]]
-
-    def test_any_hint_gives_the_same_n(self):
-        # windows far from the answer, on either side and at both ends of the
-        # range, all fall back and find it
+    def test_any_hint_gives_the_same_n(self, monkeypatch):
+        # the fallback from starts far from the answer, on either side and at
+        # both ends of the range, clipped as the search clips them
         z, z_lb = symmetric_coverage_quantile(0.95), symmetric_coverage_quantile(0.90)
-        raw = np.array([1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
-        n = core._min_subjects(np.full(6, z_lb / z), np.full(6, 0.95), raw, MAX_SUBJECTS)
+        used = _open_every_window(monkeypatch, [1.0, 20.0, 54.0, 1e5, 1e9, math.inf])
+        n = core._min_subjects(np.full(6, z_lb / z), np.full(6, 0.95), MAX_SUBJECTS)
         assert n.tolist() == [54] * 6
+        assert used == [1, 20, 54, 10**5, MAX_SUBJECTS, MAX_SUBJECTS]
 
     @pytest.mark.parametrize("ms", [[5, 3], [5, 2**70], [4, 10**12]])
     def test_nu_past_max_subjects(self, ms):
